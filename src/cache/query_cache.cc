@@ -30,12 +30,12 @@ const CacheMetrics& Metrics() {
   static const CacheMetrics metrics = [] {
     obs::MetricsRegistry& reg = obs::GlobalMetrics();
     return CacheMetrics{
-        reg.counter(obs::metric::kCacheWavefrontHits),
-        reg.counter(obs::metric::kCacheWavefrontMisses),
+        reg.counter(&obs::CounterSet::cache_wavefront_hits),
+        reg.counter(&obs::CounterSet::cache_wavefront_misses),
         reg.counter(obs::metric::kCacheWavefrontInserts),
         reg.counter(obs::metric::kCacheWavefrontEvictions),
-        reg.counter(obs::metric::kCacheMemoHits),
-        reg.counter(obs::metric::kCacheMemoMisses),
+        reg.counter(&obs::CounterSet::cache_memo_hits),
+        reg.counter(&obs::CounterSet::cache_memo_misses),
         reg.counter(obs::metric::kCacheMemoInserts),
         reg.counter(obs::metric::kCacheMemoEvictions),
         reg.counter(obs::metric::kCacheInvalidations),

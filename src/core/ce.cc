@@ -70,13 +70,18 @@ void StoreStreams(
 // page/settle counters can exceed a sequential run's (deterministically:
 // chunk boundaries depend on consumption order, not thread scheduling).
 //
-// Accounting: a production task snapshots its thread's ThreadCounters
-// around the work and the consuming thread absorbs the delta at the
-// refill barrier, so the query's StatsScope/QueryGuard/TraceSession
-// windows stay exact (deltas from tasks the consumer helped run inline
-// are already in its block and are not re-absorbed). A StorageFault
-// thrown inside a task is captured and rethrown on the consuming thread
-// after the barrier, keeping the query-boundary failure model intact.
+// Accounting: a production task that runs off the consuming thread moves
+// its work from that thread's ThreadCounters block to the consumer: it
+// snapshots the block, rewinds it after the work, and the consuming
+// thread adds the delta at the refill barrier. The query's
+// StatsScope/QueryGuard/TraceSession windows stay exact, and so do those
+// of another executor worker that ran the task while helping in its own
+// RunAll (tasks the consumer runs inline count in place). Off the
+// consumer, a task also hides the executing thread's trace session, so
+// its page reads never open detail spans in another query's trace. A
+// StorageFault thrown inside a task is captured and rethrown on the
+// consuming thread after the barrier, keeping the query-boundary failure
+// model intact.
 class EmissionFeed {
  public:
   EmissionFeed(std::vector<std::unique_ptr<NetworkNnStream>>* streams,
@@ -121,8 +126,8 @@ void EmissionFeed::Refill() {
     std::size_t want = 0;
     std::vector<NetworkNnStream::Visit> items;
     bool exhausted = false;
-    obs::ThreadCounters delta;
-    std::thread::id produced_on;
+    obs::CounterSet delta;  // zero when produced on the consuming thread
+    double heap_peak = 0.0;
     std::exception_ptr error;
   };
   std::vector<Production> productions;
@@ -140,13 +145,16 @@ void EmissionFeed::Refill() {
   }
   if (productions.empty()) return;
 
+  const std::thread::id consumer = std::this_thread::get_id();
   std::vector<std::function<void()>> tasks;
   tasks.reserve(productions.size());
   for (Production& p : productions) {
     NetworkNnStream* stream = (*streams_)[p.source].get();
-    tasks.push_back([&p, stream] {
-      p.produced_on = std::this_thread::get_id();
-      const obs::ThreadCounters before = obs::ThreadLocalCounters();
+    tasks.push_back([&p, stream, consumer] {
+      const bool moved = std::this_thread::get_id() != consumer;
+      obs::ScopedCurrentSession session(
+          moved ? nullptr : obs::CurrentTraceSession());
+      const obs::CounterSet before = obs::ThreadLocalCounters();
       try {
         p.items.reserve(p.want);
         for (std::size_t k = 0; k < p.want; ++k) {
@@ -160,17 +168,22 @@ void EmissionFeed::Refill() {
       } catch (...) {
         p.error = std::current_exception();
       }
-      p.delta = obs::ThreadLocalCounters().Delta(before);
+      if (!moved) return;
+      obs::ThreadCounters& tc = obs::ThreadLocalCounters();
+      p.delta = tc - before;
+      p.heap_peak = tc.heap_peak;
+      static_cast<obs::CounterSet&>(tc) = before;
     });
   }
   runner_->RunAll(std::move(tasks));
 
   // Merge on the consuming thread: counters first (so even a faulting
   // refill leaves the query's accounting exact), then the emissions.
-  const std::thread::id self = std::this_thread::get_id();
   std::exception_ptr error;
+  obs::ThreadCounters& tc = obs::ThreadLocalCounters();
   for (Production& p : productions) {
-    if (p.produced_on != self) obs::ThreadLocalCounters().Absorb(p.delta);
+    tc += p.delta;
+    tc.MergeHeapPeak(p.heap_peak);
     Buffer& buf = buffers_[p.source];
     buf.items.insert(buf.items.end(), p.items.begin(), p.items.end());
     buf.exhausted = p.exhausted;
@@ -222,9 +235,9 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
                                const SkylineQuerySpec& spec,
                                const ProgressiveCallback& on_skyline) {
   obs::TraceSession* const trace = spec.trace;
-  StatsScope scope(dataset, trace, "ce");
+  StatsScope scope(trace, "ce");
   SkylineResult result;
-  QueryGuard guard(dataset, spec.limits);
+  QueryGuard guard(spec.limits);
   const std::size_t n = spec.sources.size();
   const std::size_t m = dataset.object_count();
 
@@ -393,12 +406,9 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
   finalize_span.Close();
 
   result.stats.skyline_size = result.skyline.size();
-  // Cost accounting counts only this run's expansion: a stream resumed
-  // from a cached wavefront inherits the snapshot's settled set without
-  // paying for it (the plan's per-source view reports the total extent).
-  std::size_t settled = 0;
-  for (const auto& stream : streams) settled += stream->fresh_settled_count();
-  result.stats.settled_nodes = settled;
+  // QueryStats counts only this run's settles (a stream resumed from a
+  // cached wavefront inherits the snapshot's settled set without paying
+  // for it); the plan's per-source view reports the total extent.
   if (spec.plan != nullptr) {
     for (std::size_t q = 0; q < n; ++q) {
       spec.plan->RecordSource(q, streams[q]->settled_count(), radius[q],
@@ -416,9 +426,9 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
                              const SkylineQuerySpec& spec,
                              const ProgressiveCallback& on_skyline) {
   obs::TraceSession* const trace = spec.trace;
-  StatsScope scope(dataset, trace, "ce");
+  StatsScope scope(trace, "ce");
   SkylineResult result;
-  QueryGuard guard(dataset, spec.limits);
+  QueryGuard guard(spec.limits);
 
   const std::size_t n = spec.sources.size();
   const std::size_t m = dataset.object_count();
@@ -622,11 +632,8 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
     result.skyline = std::move(filtered);
   }
   result.stats.skyline_size = result.skyline.size();
-  // As in the generalized path: stats count only this run's settles, the
-  // plan's per-source view reports the full wavefront extent.
-  std::size_t settled = 0;
-  for (const auto& stream : streams) settled += stream->fresh_settled_count();
-  result.stats.settled_nodes = settled;
+  // As in the generalized path: the plan's per-source view reports the
+  // full wavefront extent.
   if (spec.plan != nullptr) {
     for (std::size_t q = 0; q < n; ++q) {
       spec.plan->RecordSource(q, streams[q]->settled_count(),

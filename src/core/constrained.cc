@@ -19,13 +19,11 @@ SkylineResult RunConstrainedSkylineNaive(const Dataset& dataset,
   // paper's main entry points degrade gracefully.
   MSQ_CHECK(ValidateQuery(dataset, spec).ok());
   MSQ_CHECK(radius >= 0.0);
-  StatsScope scope(dataset, spec.trace, "constrained.naive");
+  StatsScope scope(spec.trace, "constrained.naive");
   SkylineResult result;
 
   const std::size_t n = spec.sources.size();
-  std::size_t settled = 0;
-  std::vector<DistVector> vectors =
-      ComputeAllNetworkVectors(dataset, spec, &settled);
+  std::vector<DistVector> vectors = ComputeAllNetworkVectors(dataset, spec);
 
   // Constraint first: collect the in-range objects.
   std::vector<ObjectId> in_range;
@@ -55,7 +53,6 @@ SkylineResult RunConstrainedSkylineNaive(const Dataset& dataset,
   }
   result.stats.candidate_count = dataset.object_count();
   result.stats.skyline_size = result.skyline.size();
-  result.stats.settled_nodes = settled;
   scope.Finish(&result.stats);
   return result;
 }
@@ -67,7 +64,7 @@ SkylineResult RunConstrainedSkylineLbc(const Dataset& dataset,
   // paper's main entry points degrade gracefully.
   MSQ_CHECK(ValidateQuery(dataset, spec).ok());
   MSQ_CHECK(radius >= 0.0);
-  StatsScope scope(dataset, spec.trace, "constrained.lbc");
+  StatsScope scope(spec.trace, "constrained.lbc");
   SkylineResult result;
 
   const std::size_t n = spec.sources.size();
@@ -273,11 +270,6 @@ SkylineResult RunConstrainedSkylineLbc(const Dataset& dataset,
   result.skyline = std::move(filtered);
 
   result.stats.skyline_size = result.skyline.size();
-  std::size_t settled = 0;
-  for (const auto& search : searches) {
-    if (search != nullptr) settled += search->settled_count();
-  }
-  result.stats.settled_nodes = settled;
   scope.Finish(&result.stats);
   return result;
 }

@@ -12,17 +12,17 @@ namespace {
 // Cached at load: Dominates is the innermost loop of every skyline filter,
 // so the count costs one load + increment per call.
 obs::Counter* const g_dominance_tests = obs::GlobalMetrics().counter(
-    obs::metric::kDominanceTests);
+    &obs::CounterSet::dominance_tests);
 obs::Counter* const g_dominance_avoided = obs::GlobalMetrics().counter(
-    obs::metric::kDominanceAvoided);
+    &obs::CounterSet::dominance_tests_avoided);
 obs::Counter* const g_bound_pruned = obs::GlobalMetrics().counter(
-    obs::metric::kBoundPruned);
+    &obs::CounterSet::bound_pruned);
 obs::Counter* const g_bound_examined = obs::GlobalMetrics().counter(
-    obs::metric::kBoundExamined);
+    &obs::CounterSet::bound_examined);
 obs::Counter* const g_bound_samples = obs::GlobalMetrics().counter(
-    obs::metric::kBoundSamples);
+    &obs::CounterSet::bound_tightness_samples);
 obs::Counter* const g_bound_pct_sum = obs::GlobalMetrics().counter(
-    obs::metric::kBoundPctSum);
+    &obs::CounterSet::bound_tightness_pct_sum);
 obs::Histogram* const g_bound_tightness = obs::GlobalMetrics().histogram(
     obs::metric::kBoundTightnessHist);
 
@@ -42,7 +42,7 @@ inline void CountDominanceTest() {
 void CountDominanceAvoided(std::uint64_t n) {
   if (n == 0) return;
   g_dominance_avoided->Inc(n);
-  obs::ThreadLocalCounters().dominance_avoided += n;
+  obs::ThreadLocalCounters().dominance_tests_avoided += n;
 }
 
 void CountBoundPruned(std::uint64_t n) {
@@ -68,8 +68,8 @@ unsigned RecordBoundTightness(Dist bound, Dist exact) {
   g_bound_pct_sum->Inc(pct);
   g_bound_tightness->Observe(pct);
   obs::ThreadCounters& tc = obs::ThreadLocalCounters();
-  ++tc.bound_samples;
-  tc.bound_pct_sum += pct;
+  ++tc.bound_tightness_samples;
+  tc.bound_tightness_pct_sum += pct;
   return pct;
 }
 

@@ -266,12 +266,6 @@ class EdcRunner {
     }
   }
 
-  std::size_t TotalSettled() const {
-    std::size_t total = 0;
-    for (const auto& search : searches_) total += search->settled_count();
-    return total;
-  }
-
   // Final wavefront progress of every source (ExecutionPlan). No-op
   // without a plan collector.
   void RecordSources() const {
@@ -302,9 +296,9 @@ SkylineResult RunEdcBatch(const Dataset& dataset,
                           const EdcOptions& options,
                           const ProgressiveCallback& on_skyline) {
   obs::TraceSession* const trace = spec.trace;
-  StatsScope scope(dataset, trace, "edc");
+  StatsScope scope(trace, "edc");
   SkylineResult result;
-  QueryGuard guard(dataset, spec.limits);
+  QueryGuard guard(spec.limits);
   EdcRunner runner(dataset, spec);
 
   // Batch cut-off: nothing can be confirmed mid-run, so a tripped guard
@@ -313,7 +307,6 @@ SkylineResult RunEdcBatch(const Dataset& dataset,
     result.skyline.clear();
     result.truncated = true;
     result.truncation_reason = guard.reason();
-    result.stats.settled_nodes = runner.TotalSettled();
     runner.RecordSources();
     scope.Finish(&result.stats);
     return result;
@@ -383,7 +376,6 @@ SkylineResult RunEdcBatch(const Dataset& dataset,
 
   result.stats.candidate_count = order.size();
   result.stats.skyline_size = result.skyline.size();
-  result.stats.settled_nodes = runner.TotalSettled();
   // Everything never fetched was excluded by the Euclid-constraint
   // region bounds without any network work.
   CountBoundPruned(dataset.object_count() - order.size());
@@ -397,9 +389,9 @@ SkylineResult RunEdcIncremental(const Dataset& dataset,
                                 const EdcOptions& options,
                                 const ProgressiveCallback& on_skyline) {
   obs::TraceSession* const trace = spec.trace;
-  StatsScope scope(dataset, trace, "edc");
+  StatsScope scope(trace, "edc");
   SkylineResult result;
-  QueryGuard guard(dataset, spec.limits);
+  QueryGuard guard(spec.limits);
   EdcRunner runner(dataset, spec);
 
   // Windows (shifted vectors) already processed; entries wholly inside any
@@ -505,7 +497,6 @@ SkylineResult RunEdcIncremental(const Dataset& dataset,
   if (result.truncated) {
     result.stats.candidate_count = order.size();
     result.stats.skyline_size = result.skyline.size();
-    result.stats.settled_nodes = runner.TotalSettled();
     runner.RecordSources();
     scope.Finish(&result.stats);
     return result;
@@ -556,7 +547,6 @@ SkylineResult RunEdcIncremental(const Dataset& dataset,
 
   result.stats.candidate_count = order.size();
   result.stats.skyline_size = result.skyline.size();
-  result.stats.settled_nodes = runner.TotalSettled();
   // See RunEdcBatch: never-fetched objects were pruned by the
   // Euclid-constraint region bounds.
   CountBoundPruned(dataset.object_count() - order.size());

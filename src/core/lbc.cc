@@ -26,9 +26,9 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
                          const LbcOptions& options,
                          const ProgressiveCallback& on_skyline) {
   obs::TraceSession* const trace = spec.trace;
-  StatsScope scope(dataset, trace, "lbc");
+  StatsScope scope(trace, "lbc");
   SkylineResult result;
-  QueryGuard guard(dataset, spec.limits);
+  QueryGuard guard(spec.limits);
 
   const std::size_t n = spec.sources.size();
   const std::size_t attr_dims = dataset.static_dims();
@@ -492,11 +492,6 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
   }
 
   result.stats.skyline_size = result.skyline.size();
-  std::size_t settled = 0;
-  for (const auto& search : searches) {
-    if (search != nullptr) settled += search->settled_count();
-  }
-  result.stats.settled_nodes = settled;
   if (spec.plan != nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
       spec.plan->RecordSource(

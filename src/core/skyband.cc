@@ -55,12 +55,10 @@ SkybandResult RunSkybandNaive(const Dataset& dataset,
   // paper's main entry points degrade gracefully.
   MSQ_CHECK(ValidateQuery(dataset, spec).ok());
   MSQ_CHECK(k >= 1);
-  StatsScope scope(dataset, spec.trace, "skyband.naive");
+  StatsScope scope(spec.trace, "skyband.naive");
   SkybandResult result;
 
-  std::size_t settled = 0;
-  std::vector<DistVector> vectors =
-      ComputeAllNetworkVectors(dataset, spec, &settled);
+  std::vector<DistVector> vectors = ComputeAllNetworkVectors(dataset, spec);
   if (dataset.static_dims() > 0) {
     for (ObjectId id = 0; id < vectors.size(); ++id) {
       const DistVector attrs = dataset.StaticAttributesOf(id);
@@ -84,7 +82,6 @@ SkybandResult RunSkybandNaive(const Dataset& dataset,
             });
   result.stats.candidate_count = dataset.object_count();
   result.stats.skyline_size = result.entries.size();
-  result.stats.settled_nodes = settled;
   scope.Finish(&result.stats);
   return result;
 }
@@ -95,7 +92,7 @@ SkybandResult RunSkybandLbc(const Dataset& dataset,
   // paper's main entry points degrade gracefully.
   MSQ_CHECK(ValidateQuery(dataset, spec).ok());
   MSQ_CHECK(k >= 1);
-  StatsScope scope(dataset, spec.trace, "skyband.lbc");
+  StatsScope scope(spec.trace, "skyband.lbc");
   SkybandResult result;
 
   const std::size_t n = spec.sources.size();
@@ -230,11 +227,6 @@ SkybandResult RunSkybandLbc(const Dataset& dataset,
             });
 
   result.stats.skyline_size = result.entries.size();
-  std::size_t settled = 0;
-  for (const auto& search : searches) {
-    if (search != nullptr) settled += search->settled_count();
-  }
-  result.stats.settled_nodes = settled;
   scope.Finish(&result.stats);
   return result;
 }

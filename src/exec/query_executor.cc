@@ -18,8 +18,8 @@ obs::FlightRecord MakeFlightRecord(Algorithm algorithm,
                                    const SkylineQuerySpec& spec,
                                    const SkylineResult& result,
                                    const obs::TraceContext& ctx,
-                                   const obs::ThreadCounters& before,
-                                   const obs::ThreadCounters& after) {
+                                   const obs::CounterSet& before,
+                                   const obs::CounterSet& after) {
   obs::FlightRecord record;
   record.spec_digest = QuerySpecDigest(algorithm, spec);
   record.trace_id_hi = ctx.trace_id_hi;
@@ -33,21 +33,7 @@ obs::FlightRecord MakeFlightRecord(Algorithm algorithm,
   record.source_count = static_cast<std::uint32_t>(spec.sources.size());
   record.skyline_size = result.skyline.size();
   record.wall_seconds = result.stats.total_seconds;
-  record.network_hits = after.network_hits - before.network_hits;
-  record.network_misses = after.network_misses - before.network_misses;
-  record.index_hits = after.index_hits - before.index_hits;
-  record.index_misses = after.index_misses - before.index_misses;
-  record.settled_nodes = after.settled_nodes - before.settled_nodes;
-  record.dominance_tests = after.dominance_tests - before.dominance_tests;
-  record.dominance_avoided =
-      after.dominance_avoided - before.dominance_avoided;
-  record.bound_samples = after.bound_samples - before.bound_samples;
-  record.bound_pct_sum = after.bound_pct_sum - before.bound_pct_sum;
-  record.cache_hits = (after.cache_wavefront_hits + after.cache_memo_hits) -
-                      (before.cache_wavefront_hits + before.cache_memo_hits);
-  record.cache_misses =
-      (after.cache_wavefront_misses + after.cache_memo_misses) -
-      (before.cache_wavefront_misses + before.cache_memo_misses);
+  record.counters = after - before;
   return record;
 }
 
@@ -171,9 +157,9 @@ void QueryExecutor::Quiesce() const {
 }
 
 void QueryExecutor::WorkerLoop() {
-  // The worker's private trace session. It tracks the global registry, so
-  // it snapshots this thread's ThreadCounters (obs/trace.h) — per-query
-  // span deltas stay exact while other workers share the pools.
+  // The worker's private trace session. It snapshots this thread's
+  // ThreadCounters (obs/trace.h) — per-query span deltas stay exact while
+  // other workers share the pools.
   obs::TraceSession trace;
   // The worker's reusable plan collector: a query runs entirely on this
   // thread, so the collector needs no synchronization.
@@ -232,7 +218,7 @@ void QueryExecutor::WorkerLoop() {
     // nothing throws across the promise. Anything unexpected still must not
     // kill the process via a promise left unset.
     try {
-      obs::ThreadCounters before;
+      obs::CounterSet before;
       if (telemetry_on) before = obs::ThreadLocalCounters();
       const double exec_started_at = MonotonicSeconds();
       SkylineResult result =

@@ -11,7 +11,7 @@ namespace {
 
 // Cached at load so the settle path pays one load + increment.
 obs::Counter* const g_settled = obs::GlobalMetrics().counter(
-    obs::metric::kSettledNodes);
+    &obs::CounterSet::settled_nodes);
 obs::Gauge* const g_heap_peak = obs::GlobalMetrics().gauge(
     obs::metric::kHeapPeak);
 

@@ -11,7 +11,7 @@ namespace {
 
 // Cached at load so the settle path pays one load + increment.
 obs::Counter* const g_settled = obs::GlobalMetrics().counter(
-    obs::metric::kSettledNodes);
+    &obs::CounterSet::settled_nodes);
 obs::Gauge* const g_heap_peak = obs::GlobalMetrics().gauge(
     obs::metric::kHeapPeak);
 
@@ -50,7 +50,6 @@ DijkstraSearch::DijkstraSearch(const GraphPager* pager, Location source,
   settled_ = checkpoint.settled;
   heap_ = checkpoint.frontier;
   settled_count_ = checkpoint.settled_count;
-  resumed_settled_count_ = checkpoint.settled_count;
 }
 
 DijkstraSearch::Checkpoint DijkstraSearch::MakeCheckpoint() const {

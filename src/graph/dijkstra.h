@@ -90,18 +90,11 @@ class DijkstraSearch {
   // checkpoint a later DijkstraSearch can resume from.
   Checkpoint MakeCheckpoint() const;
 
-  // Number of nodes settled so far (the paper's per-query network node
-  // access measure for Dijkstra-based search). For a resumed search this
-  // includes the checkpoint's settles — the total wavefront extent.
+  // Number of nodes settled so far. For a resumed search this includes
+  // the checkpoint's settles — the total wavefront extent. (QueryStats
+  // counts only the settles a query performs itself, through the
+  // graph.settled_nodes thread counter.)
   std::size_t settled_count() const { return settled_count_; }
-
-  // Nodes settled by THIS search instance, excluding any inherited from a
-  // resume checkpoint. This is the quantity that matches the per-thread
-  // graph.settled_nodes counter (QueryStats cost accounting must use it:
-  // a resumed query did not pay for the snapshot's expansion).
-  std::size_t fresh_settled_count() const {
-    return settled_count_ - resumed_settled_count_;
-  }
 
   const Location& source() const { return source_; }
 
@@ -121,7 +114,6 @@ class DijkstraSearch {
   // directly checkpointable.
   std::vector<HeapItem> heap_;
   std::size_t settled_count_ = 0;
-  std::size_t resumed_settled_count_ = 0;
   std::vector<AdjacencyEntry> scratch_adjacency_;
 };
 

@@ -71,18 +71,8 @@ std::string ToChromeTrace(const QueryProfile& profile) {
     out += ",\"cat\":\"msq\",\"ph\":\"X\",\"pid\":1,\"tid\":1";
     AppendF(&out, ",\"ts\":%.3f", span.start_seconds * 1e6);
     AppendF(&out, ",\"dur\":%.3f", span.duration_seconds() * 1e6);
-    out += ",\"args\":{";
-    AppendF(&out, "\"network_hits\":%" PRIu64, span.self.network_hits);
-    AppendF(&out, ",\"network_misses\":%" PRIu64, span.self.network_misses);
-    AppendF(&out, ",\"index_hits\":%" PRIu64, span.self.index_hits);
-    AppendF(&out, ",\"index_misses\":%" PRIu64, span.self.index_misses);
-    AppendF(&out, ",\"settled_nodes\":%" PRIu64, span.self.settled_nodes);
-    AppendF(&out, ",\"dominance_tests\":%" PRIu64, span.self.dominance_tests);
-    AppendF(&out, ",\"cache_hits\":%" PRIu64,
-            span.self.cache_wavefront_hits + span.self.cache_memo_hits);
-    AppendF(&out, ",\"cache_misses\":%" PRIu64,
-            span.self.cache_wavefront_misses + span.self.cache_memo_misses);
-    AppendF(&out, ",\"heap_peak\":%.0f", span.heap_peak);
+    AppendF(&out, ",\"args\":{\"heap_peak\":%.0f", span.heap_peak);
+    AppendCounterJson(&out, span.self);
     out += "}}";
   }
   out += "\n]\n";
@@ -97,7 +87,7 @@ std::string ProfileReport(const QueryProfile& profile) {
     std::size_t calls = 0;
     double wall = 0.0;
     double self_wall = 0.0;
-    SpanCounters self;
+    CounterSet self;
     double heap_peak = 0.0;
   };
   std::map<std::string, Agg> by_name;
@@ -125,7 +115,7 @@ std::string ProfileReport(const QueryProfile& profile) {
   AppendF(&out, "%-28s %7s %10s %10s %9s %9s %9s %9s %9s %9s %9s %9s\n",
           "span", "calls", "wall ms", "self ms", "net.miss", "net.hit",
           "idx.miss", "idx.hit", "settled", "dom.test", "c.hit", "c.miss");
-  SpanCounters total;
+  CounterSet total;
   for (const auto* row : rows) {
     const Agg& agg = row->second;
     total += agg.self;
@@ -136,21 +126,19 @@ std::string ProfileReport(const QueryProfile& profile) {
             " %9" PRIu64 " %9" PRIu64 " %9" PRIu64 " %9" PRIu64 " %9" PRIu64
             "\n",
             label.c_str(), agg.calls, agg.wall * 1e3, agg.self_wall * 1e3,
-            agg.self.network_misses, agg.self.network_hits,
-            agg.self.index_misses, agg.self.index_hits,
+            agg.self.network_pages, agg.self.network_page_hits,
+            agg.self.index_pages, agg.self.index_page_hits,
             agg.self.settled_nodes, agg.self.dominance_tests,
-            agg.self.cache_wavefront_hits + agg.self.cache_memo_hits,
-            agg.self.cache_wavefront_misses + agg.self.cache_memo_misses);
+            agg.self.cache_hits(), agg.self.cache_misses());
   }
   AppendF(&out,
           "%-28s %7s %10s %10s %9" PRIu64 " %9" PRIu64 " %9" PRIu64
           " %9" PRIu64 " %9" PRIu64 " %9" PRIu64 " %9" PRIu64 " %9" PRIu64
           "\n",
-          "total (self sum)", "", "", "", total.network_misses,
-          total.network_hits, total.index_misses, total.index_hits,
-          total.settled_nodes, total.dominance_tests,
-          total.cache_wavefront_hits + total.cache_memo_hits,
-          total.cache_wavefront_misses + total.cache_memo_misses);
+          "total (self sum)", "", "", "", total.network_pages,
+          total.network_page_hits, total.index_pages, total.index_page_hits,
+          total.settled_nodes, total.dominance_tests, total.cache_hits(),
+          total.cache_misses());
   if (profile.dropped_spans > 0) {
     AppendF(&out, "(%zu spans dropped at the session cap)\n",
             profile.dropped_spans);
@@ -167,12 +155,12 @@ std::string ProfileReport(const QueryProfile& profile) {
     AppendF(&out, "%-28s %9.4f   (%" PRIu64 " pages / %" PRIu64
             " settled)\n",
             row->first.c_str(),
-            PagesPerSettledNode(agg.self.network_misses,
+            PagesPerSettledNode(agg.self.network_pages,
                                 agg.self.settled_nodes),
-            agg.self.network_misses, agg.self.settled_nodes);
+            agg.self.network_pages, agg.self.settled_nodes);
   }
   AppendF(&out, "%-28s %9.4f\n", "total",
-          PagesPerSettledNode(total.network_misses, total.settled_nodes));
+          PagesPerSettledNode(total.network_pages, total.settled_nodes));
   return out;
 }
 
@@ -285,6 +273,14 @@ std::string PrometheusText(const MetricsRegistry& registry,
          "\"} 1\n";
   registry.ForEachCounter([&](const std::string& name, const Counter& c) {
     const std::string prom = PrometheusName(name);
+    // Per-query counters carry their obs/counters.h documentation.
+    if (const CounterField* field = FindCounterByMetric(name)) {
+      out += "# HELP " + prom + " ";
+      out += field->help;
+      out += " (";
+      out += field->unit;
+      out += ")\n";
+    }
     out += "# TYPE " + prom + " counter\n";
     AppendF(&out, "%s %" PRIu64 "\n", prom.c_str(), c.value());
   });

@@ -17,7 +17,8 @@ namespace msq::obs {
 std::string JsonEscape(std::string_view s);
 
 // Chrome trace_event format: a JSON array of complete ("ph":"X") events,
-// one per span, with the span's self counters in "args". Loads directly in
+// one per span, with the span's heap peak and self counters (one member
+// per obs/counters.h row) in "args". Loads directly in
 // chrome://tracing / Perfetto.
 std::string ToChromeTrace(const QueryProfile& profile);
 
@@ -49,7 +50,8 @@ std::string MetricsJsonl(const MetricsRegistry& registry);
 std::string PrometheusName(std::string_view name);
 
 // Prometheus text exposition (format 0.0.4) of the whole registry: a
-// `msq_build_info` gauge carrying the build stamp as labels, counters,
+// `msq_build_info` gauge carrying the build stamp as labels, counters
+// (with a `# HELP` line from obs/counters.h for the per-query ones),
 // gauges (the peak as a separate `<name>_peak` family), and histograms as
 // cumulative `<name>_bucket{le="..."}` series with `_sum` and `_count`.
 //

@@ -1,6 +1,7 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/check.h"
 
@@ -15,9 +16,18 @@ std::uint64_t FlightRecorder::Record(const FlightRecord& record) {
   const std::uint64_t sequence =
       next_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& slot = slots_[(sequence - 1) % capacity_];
+  while (slot.busy.exchange(true, std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  if (slot.committed.load(std::memory_order_relaxed) > sequence) {
+    slot.busy.store(false, std::memory_order_release);
+    return sequence;  // a writer a lap ahead already filled the slot
+  }
   // Invalidate first so a concurrent Snapshot never pairs the old sequence
-  // with a half-written payload.
-  slot.committed.store(0, std::memory_order_release);
+  // with a half-written payload (the fence keeps the payload stores after
+  // the invalidation).
+  slot.committed.store(0, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   slot.spec_digest.store(record.spec_digest, std::memory_order_relaxed);
   slot.trace_id_hi.store(record.trace_id_hi, std::memory_order_relaxed);
   slot.trace_id_lo.store(record.trace_id_lo, std::memory_order_relaxed);
@@ -27,21 +37,12 @@ std::uint64_t FlightRecorder::Record(const FlightRecord& record) {
   slot.source_count.store(record.source_count, std::memory_order_relaxed);
   slot.skyline_size.store(record.skyline_size, std::memory_order_relaxed);
   slot.wall_seconds.store(record.wall_seconds, std::memory_order_relaxed);
-  slot.network_hits.store(record.network_hits, std::memory_order_relaxed);
-  slot.network_misses.store(record.network_misses,
-                            std::memory_order_relaxed);
-  slot.index_hits.store(record.index_hits, std::memory_order_relaxed);
-  slot.index_misses.store(record.index_misses, std::memory_order_relaxed);
-  slot.settled_nodes.store(record.settled_nodes, std::memory_order_relaxed);
-  slot.dominance_tests.store(record.dominance_tests,
-                             std::memory_order_relaxed);
-  slot.dominance_avoided.store(record.dominance_avoided,
-                               std::memory_order_relaxed);
-  slot.bound_samples.store(record.bound_samples, std::memory_order_relaxed);
-  slot.bound_pct_sum.store(record.bound_pct_sum, std::memory_order_relaxed);
-  slot.cache_hits.store(record.cache_hits, std::memory_order_relaxed);
-  slot.cache_misses.store(record.cache_misses, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < std::size(kCounterFields); ++i) {
+    slot.counters[i].store(record.counters.*kCounterFields[i].member,
+                           std::memory_order_relaxed);
+  }
   slot.committed.store(sequence, std::memory_order_release);
+  slot.busy.store(false, std::memory_order_release);
   return sequence;
 }
 
@@ -64,24 +65,15 @@ std::vector<FlightRecord> FlightRecorder::Snapshot() const {
     record.source_count = slot.source_count.load(std::memory_order_relaxed);
     record.skyline_size = slot.skyline_size.load(std::memory_order_relaxed);
     record.wall_seconds = slot.wall_seconds.load(std::memory_order_relaxed);
-    record.network_hits = slot.network_hits.load(std::memory_order_relaxed);
-    record.network_misses =
-        slot.network_misses.load(std::memory_order_relaxed);
-    record.index_hits = slot.index_hits.load(std::memory_order_relaxed);
-    record.index_misses = slot.index_misses.load(std::memory_order_relaxed);
-    record.settled_nodes =
-        slot.settled_nodes.load(std::memory_order_relaxed);
-    record.dominance_tests =
-        slot.dominance_tests.load(std::memory_order_relaxed);
-    record.dominance_avoided =
-        slot.dominance_avoided.load(std::memory_order_relaxed);
-    record.bound_samples = slot.bound_samples.load(std::memory_order_relaxed);
-    record.bound_pct_sum = slot.bound_pct_sum.load(std::memory_order_relaxed);
-    record.cache_hits = slot.cache_hits.load(std::memory_order_relaxed);
-    record.cache_misses = slot.cache_misses.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < std::size(kCounterFields); ++i) {
+      record.counters.*kCounterFields[i].member =
+          slot.counters[i].load(std::memory_order_relaxed);
+    }
     // A writer that claimed this slot mid-copy invalidated or replaced the
-    // sequence; drop the (possibly torn) copy.
-    if (slot.committed.load(std::memory_order_acquire) != sequence) continue;
+    // sequence; drop the (possibly torn) copy. The fence keeps the payload
+    // loads before the re-check.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.committed.load(std::memory_order_relaxed) != sequence) continue;
     records.push_back(record);
   }
   std::sort(records.begin(), records.end(),

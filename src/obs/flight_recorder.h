@@ -5,29 +5,34 @@
 //
 // Write path: one fetch_add claims a globally unique sequence number (and
 // with it a slot), then the payload is stored field-by-field with relaxed
-// atomics and the slot's commit word is released last. No locks, no
-// allocation, wait-free for writers.
+// atomics and the slot's commit word is released last. No allocation;
+// writers only wait when two of them land on one slot, which takes
+// `capacity` writes completing while one is still in flight — size the
+// ring well above the worker count (the default is 256 per executor).
+// Such writers take turns on the slot's busy flag, and a write that finds
+// a newer record already committed there is dropped (the ring keeps the
+// most recent records; total_recorded() still counts it).
 //
-// Read path (Snapshot) is best-effort consistent: a slot is skipped while
-// its commit word says a write is in flight, and re-checked after the
-// payload copy so a record overwritten mid-copy is dropped rather than
-// returned torn. Two writers can only collide on one slot when `capacity`
-// writes complete while one is still in flight — size the ring well above
-// the worker count (the default is 256 per executor).
+// Read path (Snapshot) is best-effort consistent (a seqlock): a slot is
+// skipped while its commit word says a write is in flight, and re-checked
+// after the payload copy so a record overwritten mid-copy is dropped
+// rather than returned torn.
 #ifndef MSQ_OBS_FLIGHT_RECORDER_H_
 #define MSQ_OBS_FLIGHT_RECORDER_H_
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
+#include "obs/counters.h"
+
 namespace msq::obs {
 
-// One query completion. Counter fields are the worker thread's
-// ThreadCounters deltas over the query window — the same numbers
-// QueryStats reports, plus dominance tests, which QueryStats drops.
+// One query completion. `counters` are the worker thread's ThreadCounters
+// deltas over the query window — the same numbers QueryStats reports.
 struct FlightRecord {
   std::uint64_t sequence = 0;     // 1-based completion order, assigned by Record
   std::uint64_t spec_digest = 0;  // core::QuerySpecDigest of (algorithm, spec)
@@ -41,17 +46,7 @@ struct FlightRecord {
   std::uint32_t source_count = 0;
   std::uint64_t skyline_size = 0;
   double wall_seconds = 0.0;
-  std::uint64_t network_hits = 0;
-  std::uint64_t network_misses = 0;
-  std::uint64_t index_hits = 0;
-  std::uint64_t index_misses = 0;
-  std::uint64_t settled_nodes = 0;
-  std::uint64_t dominance_tests = 0;
-  std::uint64_t dominance_avoided = 0;  // tests skipped by early exit
-  std::uint64_t bound_samples = 0;      // bound-tightness samples taken
-  std::uint64_t bound_pct_sum = 0;      // sum of sampled tightness percents
-  std::uint64_t cache_hits = 0;    // wavefront + memo
-  std::uint64_t cache_misses = 0;  // wavefront + memo
+  CounterSet counters;
 };
 
 class FlightRecorder {
@@ -81,6 +76,8 @@ class FlightRecorder {
   struct Slot {
     // 0 = empty or write in flight; otherwise the committed sequence.
     std::atomic<std::uint64_t> committed{0};
+    // Held by the one writer storing this slot's payload.
+    std::atomic<bool> busy{false};
     std::atomic<std::uint64_t> spec_digest{0};
     std::atomic<std::uint64_t> trace_id_hi{0};
     std::atomic<std::uint64_t> trace_id_lo{0};
@@ -90,17 +87,8 @@ class FlightRecorder {
     std::atomic<std::uint32_t> source_count{0};
     std::atomic<std::uint64_t> skyline_size{0};
     std::atomic<double> wall_seconds{0.0};
-    std::atomic<std::uint64_t> network_hits{0};
-    std::atomic<std::uint64_t> network_misses{0};
-    std::atomic<std::uint64_t> index_hits{0};
-    std::atomic<std::uint64_t> index_misses{0};
-    std::atomic<std::uint64_t> settled_nodes{0};
-    std::atomic<std::uint64_t> dominance_tests{0};
-    std::atomic<std::uint64_t> dominance_avoided{0};
-    std::atomic<std::uint64_t> bound_samples{0};
-    std::atomic<std::uint64_t> bound_pct_sum{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
+    // One word per obs/counters.h row, in table order.
+    std::atomic<std::uint64_t> counters[std::size(kCounterFields)]{};
   };
 
   const std::size_t capacity_;

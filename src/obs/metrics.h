@@ -1,9 +1,8 @@
 // Named counter/gauge registry — the cross-layer observability substrate.
 //
 // Components (BufferManager, GraphPager, the Dijkstra/A* wavefronts, the
-// dominance kernel) report into named metrics here; TraceSession
-// (obs/trace.h) snapshots a tracked subset at span boundaries to attribute
-// work to query phases, and obs/export.h dumps the whole registry as JSONL.
+// dominance kernel) report into named metrics here, and obs/export.h dumps
+// the whole registry as JSONL or Prometheus text.
 //
 // Counters are relaxed-atomic uint64 increments behind a stable pointer, so
 // the hot paths pay one uncontended atomic add (plus a null check where
@@ -32,6 +31,7 @@
 #include <string>
 #include <string_view>
 
+#include "obs/counters.h"
 #include "obs/histogram.h"
 
 namespace msq::obs {
@@ -93,6 +93,11 @@ class Gauge {
 class MetricsRegistry {
  public:
   Counter* counter(std::string_view name);
+  // The registry twin of a per-query counter (obs/counters.h), e.g.
+  // counter(&CounterSet::settled_nodes).
+  Counter* counter(std::uint64_t CounterSet::*field) {
+    return counter(MetricName(field));
+  }
   Gauge* gauge(std::string_view name);
   // Distribution metrics (obs/histogram.h); named `<...>_hist` by the §9
   // scheme. Same find-or-create and pointer-stability contract as counters.
@@ -129,41 +134,18 @@ class MetricsRegistry {
 // one counter per event kind.
 MetricsRegistry& GlobalMetrics();
 
-// Per-thread mirror of the tracked cross-layer counters. The instrumented
-// hot paths (BufferManager hits/misses via its attached role, wavefront
-// settles, dominance tests, the search-heap gauge) bump the calling
-// thread's block in addition to the global registry. A query executes on
-// exactly one thread, so deltas of this block taken around a query window
-// count that query's work and nothing else — the substrate for per-query
-// QueryStats and span attribution under a concurrent executor.
-struct ThreadCounters {
-  std::uint64_t network_hits = 0;     // buffer.network.hits
-  std::uint64_t network_misses = 0;   // buffer.network.misses
-  std::uint64_t index_hits = 0;       // buffer.index.hits
-  std::uint64_t index_misses = 0;     // buffer.index.misses
-  std::uint64_t settled_nodes = 0;    // graph.settled_nodes
-  std::uint64_t dominance_tests = 0;  // core.dominance_tests
-  // Pruning-power accounting (DESIGN.md §17). `dominance_avoided` counts
-  // pairwise tests a window early-exit or a bound-based prune made
-  // unnecessary; `bound_pruned`/`bound_examined` partition candidate
-  // objects by whether a plb/Euclid/ALT lower bound eliminated them or
-  // exact distances had to be computed; `bound_samples` counts
-  // bound-tightness ratios (plb/dN) observed at exact-completion sites.
-  std::uint64_t dominance_avoided = 0;  // core.dominance_avoided
-  std::uint64_t bound_pruned = 0;       // core.bound_pruned
-  std::uint64_t bound_examined = 0;     // core.bound_examined
-  std::uint64_t bound_samples = 0;      // core.bound_tightness_samples
-  // Sum of the rounded tightness percents over those samples, so any
-  // delta window can report a mean tightness (sum / samples) without
-  // carrying the sample list.
-  std::uint64_t bound_pct_sum = 0;      // core.bound_tightness_pct_sum
-  // Cross-query cache consultations (src/cache). A distinct access class
-  // from the buffer counters: a cache hit never touches a buffer pool, so
-  // it must never be folded into page accesses.
-  std::uint64_t cache_wavefront_hits = 0;    // cache.wavefront.hits
-  std::uint64_t cache_wavefront_misses = 0;  // cache.wavefront.misses
-  std::uint64_t cache_memo_hits = 0;         // cache.memo.hits
-  std::uint64_t cache_memo_misses = 0;       // cache.memo.misses
+// Per-thread mirror of the per-query counters (obs/counters.h). The
+// instrumented hot paths (BufferManager hits/misses via its attached role,
+// wavefront settles, dominance tests, cache probes, the search-heap gauge)
+// bump the calling thread's block in addition to the global registry. A
+// query executes on exactly one thread, so deltas of this block taken
+// around a query window count that query's work and nothing else — the
+// substrate for per-query QueryStats, span attribution and flight records
+// under a concurrent executor. A helper thread doing part of a query's
+// work moves it to the query thread: it rewinds its own block to the
+// snapshot taken before the work, and the query thread adds the delta
+// (`after - before`) so its own windows see the helper's work.
+struct ThreadCounters : CounterSet {
   // Thread-scoped view of the core.heap_peak gauge, with the same
   // level+high-water semantics.
   double heap_value = 0.0;
@@ -177,92 +159,23 @@ struct ThreadCounters {
   void MergeHeapPeak(double peak) {
     if (peak > heap_peak) heap_peak = peak;
   }
-
-  std::uint64_t network_accesses() const {
-    return network_hits + network_misses;
-  }
-  std::uint64_t index_accesses() const { return index_hits + index_misses; }
-
-  // Field-wise difference of this block against an earlier snapshot of the
-  // SAME thread's block. Counters subtract; the heap fields carry the
-  // current level and the window's high-water mark. The substrate for
-  // intra-query parallelism: a helper task snapshots its thread's block
-  // around the work, and the query thread Absorbs the delta so its own
-  // StatsScope/QueryGuard/TraceSession windows see the helper's work.
-  ThreadCounters Delta(const ThreadCounters& since) const {
-    ThreadCounters d;
-    d.network_hits = network_hits - since.network_hits;
-    d.network_misses = network_misses - since.network_misses;
-    d.index_hits = index_hits - since.index_hits;
-    d.index_misses = index_misses - since.index_misses;
-    d.settled_nodes = settled_nodes - since.settled_nodes;
-    d.dominance_tests = dominance_tests - since.dominance_tests;
-    d.dominance_avoided = dominance_avoided - since.dominance_avoided;
-    d.bound_pruned = bound_pruned - since.bound_pruned;
-    d.bound_examined = bound_examined - since.bound_examined;
-    d.bound_samples = bound_samples - since.bound_samples;
-    d.bound_pct_sum = bound_pct_sum - since.bound_pct_sum;
-    d.cache_wavefront_hits = cache_wavefront_hits - since.cache_wavefront_hits;
-    d.cache_wavefront_misses =
-        cache_wavefront_misses - since.cache_wavefront_misses;
-    d.cache_memo_hits = cache_memo_hits - since.cache_memo_hits;
-    d.cache_memo_misses = cache_memo_misses - since.cache_memo_misses;
-    d.heap_value = heap_value;
-    d.heap_peak = heap_peak;
-    return d;
-  }
-
-  // Adds a Delta()-produced block into this one. Never absorb a delta into
-  // the thread that produced it — the work is already counted there.
-  void Absorb(const ThreadCounters& delta) {
-    network_hits += delta.network_hits;
-    network_misses += delta.network_misses;
-    index_hits += delta.index_hits;
-    index_misses += delta.index_misses;
-    settled_nodes += delta.settled_nodes;
-    dominance_tests += delta.dominance_tests;
-    dominance_avoided += delta.dominance_avoided;
-    bound_pruned += delta.bound_pruned;
-    bound_examined += delta.bound_examined;
-    bound_samples += delta.bound_samples;
-    bound_pct_sum += delta.bound_pct_sum;
-    cache_wavefront_hits += delta.cache_wavefront_hits;
-    cache_wavefront_misses += delta.cache_wavefront_misses;
-    cache_memo_hits += delta.cache_memo_hits;
-    cache_memo_misses += delta.cache_memo_misses;
-    MergeHeapPeak(delta.heap_peak);
-  }
 };
 
 // The calling thread's counter block.
 ThreadCounters& ThreadLocalCounters();
 
-// Well-known metric names. The buffer prefixes are what Workload attaches
-// its two pools under; TraceSession tracks the counters listed here.
+// Well-known metric names beyond the per-query counters, whose registry
+// names live in the obs/counters.h table (MetricName). The buffer prefixes
+// are what Workload attaches its two pools under.
 namespace metric {
 inline constexpr char kNetworkBufferPrefix[] = "buffer.network";
 inline constexpr char kIndexBufferPrefix[] = "buffer.index";
-inline constexpr char kNetworkBufferHits[] = "buffer.network.hits";
-inline constexpr char kNetworkBufferMisses[] = "buffer.network.misses";
-inline constexpr char kIndexBufferHits[] = "buffer.index.hits";
-inline constexpr char kIndexBufferMisses[] = "buffer.index.misses";
 inline constexpr char kAdjacencyReads[] = "graph.pager.adjacency_reads";
-inline constexpr char kSettledNodes[] = "graph.settled_nodes";
-inline constexpr char kDominanceTests[] = "core.dominance_tests";
-inline constexpr char kDominanceAvoided[] = "core.dominance_avoided";
-inline constexpr char kBoundPruned[] = "core.bound_pruned";
-inline constexpr char kBoundExamined[] = "core.bound_examined";
-inline constexpr char kBoundSamples[] = "core.bound_tightness_samples";
-inline constexpr char kBoundPctSum[] = "core.bound_tightness_pct_sum";
 inline constexpr char kHeapPeak[] = "core.heap_peak";
 // Cross-query cache (src/cache/query_cache.h).
-inline constexpr char kCacheWavefrontHits[] = "cache.wavefront.hits";
-inline constexpr char kCacheWavefrontMisses[] = "cache.wavefront.misses";
 inline constexpr char kCacheWavefrontInserts[] = "cache.wavefront.inserts";
 inline constexpr char kCacheWavefrontEvictions[] =
     "cache.wavefront.evictions";
-inline constexpr char kCacheMemoHits[] = "cache.memo.hits";
-inline constexpr char kCacheMemoMisses[] = "cache.memo.misses";
 inline constexpr char kCacheMemoInserts[] = "cache.memo.inserts";
 inline constexpr char kCacheMemoEvictions[] = "cache.memo.evictions";
 inline constexpr char kCacheInvalidations[] = "cache.invalidations";

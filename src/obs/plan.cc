@@ -1,5 +1,6 @@
 #include "obs/plan.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -39,35 +40,6 @@ void AppendEscaped(std::string* out, std::string_view s) {
   }
 }
 
-// The span-tracked measures a phase rollup must partition exactly.
-struct PhaseTotals {
-  std::uint64_t network_accesses = 0;
-  std::uint64_t index_accesses = 0;
-  std::uint64_t settled_nodes = 0;
-  std::uint64_t dominance_tests = 0;
-  std::uint64_t dominance_avoided = 0;
-  std::uint64_t bound_pruned = 0;
-  std::uint64_t bound_examined = 0;
-  std::uint64_t bound_samples = 0;
-  std::uint64_t bound_pct_sum = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-
-  void Add(const SpanCounters& c) {
-    network_accesses += c.network_hits + c.network_misses;
-    index_accesses += c.index_hits + c.index_misses;
-    settled_nodes += c.settled_nodes;
-    dominance_tests += c.dominance_tests;
-    dominance_avoided += c.dominance_avoided;
-    bound_pruned += c.bound_pruned;
-    bound_examined += c.bound_examined;
-    bound_samples += c.bound_samples;
-    bound_pct_sum += c.bound_pct_sum;
-    cache_hits += c.cache_wavefront_hits + c.cache_memo_hits;
-    cache_misses += c.cache_wavefront_misses + c.cache_memo_misses;
-  }
-};
-
 }  // namespace
 
 void PlanCollector::RecordSource(std::size_t source,
@@ -98,18 +70,7 @@ ExecutionPlan BuildExecutionPlan(std::string_view algorithm,
   plan.algorithm = std::string(algorithm);
   plan.total_seconds = stats.total_seconds;
   plan.truncated = truncated;
-  plan.dominance_tests = stats.dominance_tests;
-  plan.dominance_tests_avoided = stats.dominance_tests_avoided;
-  plan.bound_pruned = stats.bound_pruned;
-  plan.bound_examined = stats.bound_examined;
-  plan.bound_tightness_samples = stats.bound_tightness_samples;
-  plan.bound_tightness_pct_sum = stats.bound_tightness_pct_sum;
-  plan.network_page_accesses = stats.network_page_accesses;
-  plan.index_page_accesses = stats.index_page_accesses;
-  plan.settled_nodes = stats.settled_nodes;
-  plan.cache_hits = stats.cache_wavefront_hits + stats.cache_memo_hits;
-  plan.cache_misses =
-      stats.cache_wavefront_misses + stats.cache_memo_misses;
+  plan.counters = stats;
   plan.candidate_count = stats.candidate_count;
   plan.skyline_size = stats.skyline_size;
   if (collector != nullptr) {
@@ -140,91 +101,34 @@ ExecutionPlan BuildExecutionPlan(std::string_view algorithm,
 
 std::string ReconcilePlan(const ExecutionPlan& plan,
                           const msq::QueryStats& stats) {
-  char buf[256];
-  auto mismatch = [&buf](const char* what, std::uint64_t plan_value,
-                         std::uint64_t stats_value) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s: plan %" PRIu64 " != expected %" PRIu64, what,
-                  plan_value, stats_value);
-    return std::string(buf);
+  std::string mismatch = FirstCounterMismatch(plan.counters, stats);
+  if (!mismatch.empty()) return mismatch;
+  auto differ = [&mismatch](const char* what, std::uint64_t got,
+                            std::uint64_t want) {
+    if (got == want) return false;
+    mismatch = std::string(what) + ": " + std::to_string(got) +
+               " != expected " + std::to_string(want);
+    return true;
   };
-  const struct {
-    const char* name;
-    std::uint64_t plan_value;
-    std::uint64_t stats_value;
-  } scalars[] = {
-      {"dominance_tests", plan.dominance_tests, stats.dominance_tests},
-      {"dominance_tests_avoided", plan.dominance_tests_avoided,
-       stats.dominance_tests_avoided},
-      {"bound_pruned", plan.bound_pruned, stats.bound_pruned},
-      {"bound_examined", plan.bound_examined, stats.bound_examined},
-      {"bound_tightness_samples", plan.bound_tightness_samples,
-       stats.bound_tightness_samples},
-      {"bound_tightness_pct_sum", plan.bound_tightness_pct_sum,
-       stats.bound_tightness_pct_sum},
-      {"network_page_accesses", plan.network_page_accesses,
-       stats.network_page_accesses},
-      {"index_page_accesses", plan.index_page_accesses,
-       stats.index_page_accesses},
-      {"settled_nodes", plan.settled_nodes, stats.settled_nodes},
-      {"cache_hits", plan.cache_hits,
-       stats.cache_wavefront_hits + stats.cache_memo_hits},
-      {"cache_misses", plan.cache_misses,
-       stats.cache_wavefront_misses + stats.cache_memo_misses},
-      {"candidate_count", plan.candidate_count, stats.candidate_count},
-      {"skyline_size", plan.skyline_size, stats.skyline_size},
-  };
-  for (const auto& s : scalars) {
-    if (s.plan_value != s.stats_value) {
-      return mismatch(s.name, s.plan_value, s.stats_value);
-    }
+  if (differ("candidate_count", plan.candidate_count,
+             stats.candidate_count) ||
+      differ("skyline_size", plan.skyline_size, stats.skyline_size) ||
+      differ("network_page_accesses", plan.counters.network_accesses(),
+             stats.network_page_accesses) ||
+      differ("index_page_accesses", plan.counters.index_accesses(),
+             stats.index_page_accesses) ||
+      // The histogram was filled by the collector, the sample counters by
+      // the thread-local substrate — two independent paths that must agree.
+      differ("tightness histogram count", plan.bound_tightness.count,
+             stats.bound_tightness_samples) ||
+      differ("tightness histogram sum", plan.bound_tightness.sum,
+             stats.bound_tightness_pct_sum)) {
+    return mismatch;
   }
-  // The histogram was filled by the collector, the sample counters by the
-  // thread-local substrate — two independent paths that must agree.
-  if (plan.bound_tightness.count != stats.bound_tightness_samples) {
-    return mismatch("tightness histogram count", plan.bound_tightness.count,
-                    stats.bound_tightness_samples);
-  }
-  if (plan.bound_tightness.sum != stats.bound_tightness_pct_sum) {
-    return mismatch("tightness histogram sum", plan.bound_tightness.sum,
-                    stats.bound_tightness_pct_sum);
-  }
-  if (!plan.phases.empty()) {
-    PhaseTotals totals;
-    for (const PlanPhase& phase : plan.phases) totals.Add(phase.counters);
-    const struct {
-      const char* name;
-      std::uint64_t phase_value;
-      std::uint64_t stats_value;
-    } rollup[] = {
-        {"phase network_page_accesses", totals.network_accesses,
-         stats.network_page_accesses},
-        {"phase index_page_accesses", totals.index_accesses,
-         stats.index_page_accesses},
-        {"phase settled_nodes", totals.settled_nodes, stats.settled_nodes},
-        {"phase dominance_tests", totals.dominance_tests,
-         stats.dominance_tests},
-        {"phase dominance_avoided", totals.dominance_avoided,
-         stats.dominance_tests_avoided},
-        {"phase bound_pruned", totals.bound_pruned, stats.bound_pruned},
-        {"phase bound_examined", totals.bound_examined,
-         stats.bound_examined},
-        {"phase bound_samples", totals.bound_samples,
-         stats.bound_tightness_samples},
-        {"phase bound_pct_sum", totals.bound_pct_sum,
-         stats.bound_tightness_pct_sum},
-        {"phase cache_hits", totals.cache_hits,
-         stats.cache_wavefront_hits + stats.cache_memo_hits},
-        {"phase cache_misses", totals.cache_misses,
-         stats.cache_wavefront_misses + stats.cache_memo_misses},
-    };
-    for (const auto& r : rollup) {
-      if (r.phase_value != r.stats_value) {
-        return mismatch(r.name, r.phase_value, r.stats_value);
-      }
-    }
-  }
-  return std::string();
+  if (plan.phases.empty()) return std::string();
+  CounterSet rollup;
+  for (const PlanPhase& phase : plan.phases) rollup += phase.counters;
+  return FirstCounterMismatch(rollup, stats, "phase ");
 }
 
 std::string PlanJson(const ExecutionPlan& plan) {
@@ -235,13 +139,14 @@ std::string PlanJson(const ExecutionPlan& plan) {
   AppendF(&out,
           ",\"dominance_tests\":{\"performed\":%" PRIu64
           ",\"avoided\":%" PRIu64 "}",
-          plan.dominance_tests, plan.dominance_tests_avoided);
+          plan.counters.dominance_tests,
+          plan.counters.dominance_tests_avoided);
   AppendF(&out,
           ",\"bounds\":{\"pruned\":%" PRIu64 ",\"examined\":%" PRIu64
           ",\"tightness\":{\"samples\":%" PRIu64 ",\"mean_pct\":%.1f,"
           "\"histogram\":[",
-          plan.bound_pruned, plan.bound_examined,
-          plan.bound_tightness_samples, plan.mean_tightness_pct());
+          plan.counters.bound_pruned, plan.counters.bound_examined,
+          plan.counters.bound_tightness_samples, plan.mean_tightness_pct());
   bool first = true;
   for (std::size_t i = 0; i < Histogram::kBucketCount; ++i) {
     if (plan.bound_tightness.buckets[i] == 0) continue;
@@ -254,13 +159,14 @@ std::string PlanJson(const ExecutionPlan& plan) {
   AppendF(&out,
           ",\"pages\":{\"network_accesses\":%" PRIu64
           ",\"index_accesses\":%" PRIu64 "},\"settled_nodes\":%" PRIu64,
-          plan.network_page_accesses, plan.index_page_accesses,
-          plan.settled_nodes);
+          plan.counters.network_accesses(), plan.counters.index_accesses(),
+          plan.counters.settled_nodes);
   AppendF(&out,
           ",\"cache\":{\"hits\":%" PRIu64 ",\"misses\":%" PRIu64
           ",\"lookup_tiers\":{\"memo\":%" PRIu64 ",\"wavefront\":%" PRIu64
           ",\"computed\":%" PRIu64 "}}",
-          plan.cache_hits, plan.cache_misses, plan.tiers.memo_hits,
+          plan.counters.cache_hits(), plan.counters.cache_misses(),
+          plan.tiers.memo_hits,
           plan.tiers.wavefront_exact, plan.tiers.computed);
   AppendF(&out, ",\"candidates\":%" PRIu64 ",\"skyline_size\":%" PRIu64,
           plan.candidate_count, plan.skyline_size);
@@ -276,14 +182,12 @@ std::string PlanJson(const ExecutionPlan& plan) {
             ",\"dominance_tests\":%" PRIu64 ",\"dominance_avoided\":%" PRIu64
             ",\"bound_pruned\":%" PRIu64 ",\"bound_examined\":%" PRIu64
             ",\"cache_hits\":%" PRIu64 "}",
-            phase.seconds,
-            phase.counters.network_hits + phase.counters.network_misses,
-            phase.counters.index_hits + phase.counters.index_misses,
-            phase.counters.settled_nodes, phase.counters.dominance_tests,
-            phase.counters.dominance_avoided, phase.counters.bound_pruned,
-            phase.counters.bound_examined,
-            phase.counters.cache_wavefront_hits +
-                phase.counters.cache_memo_hits);
+            phase.seconds, phase.counters.network_accesses(),
+            phase.counters.index_accesses(), phase.counters.settled_nodes,
+            phase.counters.dominance_tests,
+            phase.counters.dominance_tests_avoided,
+            phase.counters.bound_pruned, phase.counters.bound_examined,
+            phase.counters.cache_hits());
   }
   out += "],\"sources\":[";
   for (std::size_t i = 0; i < plan.sources.size(); ++i) {
@@ -307,8 +211,18 @@ void PlanStore::Retain(RetainedPlan plan) {
 }
 
 std::vector<RetainedPlan> PlanStore::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<RetainedPlan>(plans_.begin(), plans_.end());
+  std::vector<RetainedPlan> plans;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    plans.assign(plans_.begin(), plans_.end());
+  }
+  // Workers retain in whatever order they finish their completion path,
+  // which can differ from the flight-sequence order; report by sequence.
+  std::stable_sort(plans.begin(), plans.end(),
+                   [](const RetainedPlan& a, const RetainedPlan& b) {
+                     return a.sequence < b.sequence;
+                   });
+  return plans;
 }
 
 void PlanStore::Account(std::string_view algorithm,
@@ -318,14 +232,8 @@ void PlanStore::Account(std::string_view algorithm,
   if (it == aggregates_.end()) {
     it = aggregates_.emplace(std::string(algorithm), PlanAggregate{}).first;
   }
-  PlanAggregate& agg = it->second;
-  ++agg.queries;
-  agg.dominance_tests += stats.dominance_tests;
-  agg.dominance_avoided += stats.dominance_tests_avoided;
-  agg.bound_pruned += stats.bound_pruned;
-  agg.bound_examined += stats.bound_examined;
-  agg.bound_samples += stats.bound_tightness_samples;
-  agg.bound_pct_sum += stats.bound_tightness_pct_sum;
+  ++it->second.queries;
+  it->second.counters += stats;
   ++accounted_total_;
 }
 
@@ -352,25 +260,14 @@ std::string ExplainzJson(const PlanStore& store) {
   const std::vector<RetainedPlan> plans = store.Snapshot();
   std::string out = "{\"pruning_efficiency\":[";
   bool first = true;
+  auto ratio = [](std::uint64_t part, std::uint64_t whole) {
+    return whole == 0 ? 0.0
+                      : static_cast<double>(part) / static_cast<double>(whole);
+  };
   for (const auto& [algo, agg] : aggregates) {
     if (!first) out += ",";
     first = false;
-    const double avoided_ratio =
-        agg.dominance_tests + agg.dominance_avoided == 0
-            ? 0.0
-            : static_cast<double>(agg.dominance_avoided) /
-                  static_cast<double>(agg.dominance_tests +
-                                      agg.dominance_avoided);
-    const double prune_ratio =
-        agg.bound_pruned + agg.bound_examined == 0
-            ? 0.0
-            : static_cast<double>(agg.bound_pruned) /
-                  static_cast<double>(agg.bound_pruned + agg.bound_examined);
-    const double mean_tightness =
-        agg.bound_samples == 0
-            ? 0.0
-            : static_cast<double>(agg.bound_pct_sum) /
-                  static_cast<double>(agg.bound_samples);
+    const CounterSet& c = agg.counters;
     out += "{\"algorithm\":\"";
     AppendEscaped(&out, algo);
     AppendF(&out,
@@ -378,9 +275,12 @@ std::string ExplainzJson(const PlanStore& store) {
             ",\"dominance_avoided\":%" PRIu64 ",\"avoided_ratio\":%.4f"
             ",\"bound_pruned\":%" PRIu64 ",\"bound_examined\":%" PRIu64
             ",\"prune_ratio\":%.4f,\"mean_tightness_pct\":%.1f}",
-            agg.queries, agg.dominance_tests, agg.dominance_avoided,
-            avoided_ratio, agg.bound_pruned, agg.bound_examined, prune_ratio,
-            mean_tightness);
+            agg.queries, c.dominance_tests, c.dominance_tests_avoided,
+            ratio(c.dominance_tests_avoided,
+                  c.dominance_tests + c.dominance_tests_avoided),
+            c.bound_pruned, c.bound_examined,
+            ratio(c.bound_pruned, c.bound_pruned + c.bound_examined),
+            ratio(c.bound_tightness_pct_sum, c.bound_tightness_samples));
   }
   out += "],\"plans\":[";
   for (std::size_t i = 0; i < plans.size(); ++i) {

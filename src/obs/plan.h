@@ -51,7 +51,7 @@ namespace msq::obs {
 struct PlanPhase {
   std::string name;
   double seconds = 0.0;
-  SpanCounters counters;
+  CounterSet counters;
 };
 
 // Wavefront progress of one query source at the end of the run.
@@ -84,18 +84,8 @@ struct ExecutionPlan {
   std::string algorithm;
   double total_seconds = 0.0;
   bool truncated = false;
-  // Scalar totals — each the exact QueryStats twin (ReconcilePlan).
-  std::uint64_t dominance_tests = 0;
-  std::uint64_t dominance_tests_avoided = 0;
-  std::uint64_t bound_pruned = 0;
-  std::uint64_t bound_examined = 0;
-  std::uint64_t bound_tightness_samples = 0;
-  std::uint64_t bound_tightness_pct_sum = 0;
-  std::uint64_t network_page_accesses = 0;
-  std::uint64_t index_page_accesses = 0;
-  std::uint64_t settled_nodes = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+  // Totals — each the exact QueryStats twin (ReconcilePlan).
+  CounterSet counters;
   std::uint64_t candidate_count = 0;
   std::uint64_t skyline_size = 0;
   // Log2 histogram of the per-sample tightness percents (bucket layout of
@@ -108,10 +98,10 @@ struct ExecutionPlan {
   // Mean plb/dN tightness in percent (100 = bounds were exact); 0 when no
   // samples were taken.
   double mean_tightness_pct() const {
-    return bound_tightness_samples == 0
+    return counters.bound_tightness_samples == 0
                ? 0.0
-               : static_cast<double>(bound_tightness_pct_sum) /
-                     static_cast<double>(bound_tightness_samples);
+               : static_cast<double>(counters.bound_tightness_pct_sum) /
+                     static_cast<double>(counters.bound_tightness_samples);
   }
 };
 
@@ -167,8 +157,8 @@ ExecutionPlan BuildExecutionPlan(std::string_view algorithm,
 
 // Exact reconciliation oracle: empty string when every plan counter equals
 // its QueryStats twin, the tightness histogram's count/sum equal the
-// sample counters, and the phase rollup sums to the totals; otherwise a
-// description of the first mismatch.
+// sample counters, and the phase rollup sums to the totals on every
+// obs/counters.h row; otherwise a description of the first mismatch.
 std::string ReconcilePlan(const ExecutionPlan& plan,
                           const msq::QueryStats& stats);
 
@@ -183,18 +173,13 @@ struct RetainedPlan {
   ExecutionPlan plan;
 };
 
-// Running per-algorithm pruning-power totals — the always-on side of
-// /explainz. Scalar adds from counters the completion path already holds,
-// so accounting every query costs nothing measurable (unlike building and
-// retaining a full ExecutionPlan, which is explain-only).
+// Running per-algorithm totals — the always-on side of /explainz. Scalar
+// adds from counters the completion path already holds, so accounting
+// every query costs nothing measurable (unlike building and retaining a
+// full ExecutionPlan, which is explain-only).
 struct PlanAggregate {
   std::uint64_t queries = 0;
-  std::uint64_t dominance_tests = 0;
-  std::uint64_t dominance_avoided = 0;
-  std::uint64_t bound_pruned = 0;
-  std::uint64_t bound_examined = 0;
-  std::uint64_t bound_samples = 0;
-  std::uint64_t bound_pct_sum = 0;
+  CounterSet counters;
 };
 
 // Bounded FIFO of recent plans plus the per-algorithm pruning aggregates
@@ -208,6 +193,7 @@ class PlanStore {
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   void Retain(RetainedPlan plan);
+  // The retained plans in flight-sequence order.
   std::vector<RetainedPlan> Snapshot() const;
 
   // Folds one completed query's pruning counters into the per-algorithm

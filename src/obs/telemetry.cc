@@ -54,24 +54,23 @@ std::uint64_t ServingTelemetry::RecordQuery(std::string_view algorithm,
   if (!config_.enabled) return 0;
   const AlgoHistograms& histograms = HistogramsFor(algorithm);
   histograms.latency_us->Observe(LatencyMicros(record.wall_seconds));
-  histograms.network_page_accesses->Observe(record.network_hits +
-                                            record.network_misses);
-  histograms.index_page_accesses->Observe(record.index_hits +
-                                          record.index_misses);
-  histograms.settled_nodes->Observe(record.settled_nodes);
-  histograms.cache_hits->Observe(record.cache_hits);
-  Histogram* performed = dominance_performed_.load(std::memory_order_acquire);
+  const CounterSet& counters = record.counters;
+  histograms.network_page_accesses->Observe(counters.network_accesses());
+  histograms.index_page_accesses->Observe(counters.index_accesses());
+  histograms.settled_nodes->Observe(counters.settled_nodes);
+  histograms.cache_hits->Observe(counters.cache_hits());
+  Histogram* performed = performed_hist_.load(std::memory_order_acquire);
   if (performed == nullptr) {
     performed = registry_->histogram(metric::kDominancePerformedHist);
-    dominance_performed_.store(performed, std::memory_order_release);
+    performed_hist_.store(performed, std::memory_order_release);
   }
-  Histogram* avoided = dominance_avoided_.load(std::memory_order_acquire);
+  Histogram* avoided = avoided_hist_.load(std::memory_order_acquire);
   if (avoided == nullptr) {
     avoided = registry_->histogram(metric::kDominanceAvoidedHist);
-    dominance_avoided_.store(avoided, std::memory_order_release);
+    avoided_hist_.store(avoided, std::memory_order_release);
   }
-  performed->Observe(record.dominance_tests);
-  avoided->Observe(record.dominance_avoided);
+  performed->Observe(counters.dominance_tests);
+  avoided->Observe(counters.dominance_tests_avoided);
   queries_->Inc();
   return flight_.Record(record);
 }
@@ -79,9 +78,8 @@ std::uint64_t ServingTelemetry::RecordQuery(std::string_view algorithm,
 bool ServingTelemetry::IsSlow(const FlightRecord& record) const {
   const bool wall_slow = config_.slow_wall_seconds > 0.0 &&
                          record.wall_seconds > config_.slow_wall_seconds;
-  const std::uint64_t accesses = record.network_hits +
-                                 record.network_misses + record.index_hits +
-                                 record.index_misses;
+  const std::uint64_t accesses =
+      record.counters.network_accesses() + record.counters.index_accesses();
   const bool pages_slow = config_.slow_page_accesses > 0 &&
                           accesses > config_.slow_page_accesses;
   return wall_slow || pages_slow;
@@ -118,7 +116,6 @@ RetainReason ServingTelemetry::CompleteRequest(const TraceContext& ctx,
   if (capture_slow) {
     SlowQueryRecord slow;
     slow.summary = record;
-    slow.recapture_wall_seconds = record.wall_seconds;
     slow.profile = profile;
     RetainSlowQuery(std::move(slow));
   }
@@ -146,8 +143,9 @@ RetainReason ServingTelemetry::CompleteRequest(const TraceContext& ctx,
   trace.reason = reason;
   trace.queue_seconds = queue_seconds;
   trace.wall_seconds = record.wall_seconds;
-  trace.page_accesses = record.network_hits + record.network_misses +
-                        record.index_hits + record.index_misses;
+  const CounterSet& counters = record.counters;
+  trace.page_accesses =
+      counters.network_accesses() + counters.index_accesses();
   trace.profile = std::move(profile);
   const std::string trace_id = trace.TraceIdHex();
   traces_.Retain(std::move(trace));
@@ -160,13 +158,15 @@ RetainReason ServingTelemetry::CompleteRequest(const TraceContext& ctx,
       LatencyMicros(record.wall_seconds), trace_id);
   // Pruning-power exemplars: point the dominance/bound-tightness series at
   // the same retained trace.
-  exemplars_.Observe(metric::kDominancePerformedHist, record.dominance_tests,
-                     trace_id);
-  exemplars_.Observe(metric::kDominanceAvoidedHist, record.dominance_avoided,
-                     trace_id);
-  if (record.bound_samples > 0) {
-    exemplars_.Observe(metric::kBoundTightnessHist,
-                       record.bound_pct_sum / record.bound_samples, trace_id);
+  exemplars_.Observe(metric::kDominancePerformedHist,
+                     counters.dominance_tests, trace_id);
+  exemplars_.Observe(metric::kDominanceAvoidedHist,
+                     counters.dominance_tests_avoided, trace_id);
+  if (counters.bound_tightness_samples > 0) {
+    exemplars_.Observe(
+        metric::kBoundTightnessHist,
+        counters.bound_tightness_pct_sum / counters.bound_tightness_samples,
+        trace_id);
   }
   return reason;
 }

@@ -19,11 +19,10 @@
 //      counters/histograms/flight records count it exactly once.
 //
 // This file stays core-independent like the rest of src/obs: the executor
-// translates its SkylineResult/ThreadCounters into a plain FlightRecord
-// before reporting. Everything here is thread-safe; RecordQuery is two
-// atomic bumps, one small mutex-guarded pointer-cache lookup, and a ring
-// write — cheap enough to stay on for every query (< 2% of bench_throughput
-// cold QPS, measured in BENCH_throughput.json).
+// translates its SkylineResult and thread-counter delta into a plain
+// FlightRecord before reporting. Everything here is thread-safe;
+// RecordQuery is a handful of histogram observations, one small
+// mutex-guarded pointer-cache lookup, and a ring write.
 #ifndef MSQ_OBS_TELEMETRY_H_
 #define MSQ_OBS_TELEMETRY_H_
 
@@ -78,10 +77,6 @@ struct TelemetryConfig {
 // always traced, so capture never re-executes anything).
 struct SlowQueryRecord {
   FlightRecord summary;
-  // Wall seconds of the run the profile covers. Equal to
-  // summary.wall_seconds since capture stopped re-running queries; kept
-  // for dump compatibility.
-  double recapture_wall_seconds = 0.0;
   QueryProfile profile;
 };
 
@@ -153,13 +148,14 @@ class ServingTelemetry {
   TraceStore traces_;
   ExemplarStore exemplars_;
   PlanStore plans_;
-  // Per-query pruning-power distributions (msq_dominance_tests_performed /
-  // msq_dominance_tests_avoided in the Prometheus exposition). Registered
+  // Per-query pruning-power distributions
+  // (msq_dominance_tests_{performed,avoided} in the Prometheus
+  // exposition). Registered
   // lazily on the first RecordQuery so a disabled telemetry instance adds
   // no histograms to the registry; the registry hands back one stable
   // pointer per name, so a racing double-init stores the same value.
-  std::atomic<Histogram*> dominance_performed_{nullptr};
-  std::atomic<Histogram*> dominance_avoided_{nullptr};
+  std::atomic<Histogram*> performed_hist_{nullptr};
+  std::atomic<Histogram*> avoided_hist_{nullptr};
   Counter* const queries_;
   Counter* const slow_queries_;
   Counter* const slow_captured_;

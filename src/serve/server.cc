@@ -731,56 +731,6 @@ std::string MsqServer::HealthzJson() const {
 
 namespace {
 
-// One flight-ring record for the /debugz bundle. Counters keep the
-// FlightRecord field names so the bundle joins against DESIGN.md §12.
-void AppendFlightRecordJson(std::string* out,
-                            const obs::FlightRecord& record) {
-  char buf[64];
-  *out += "{\"sequence\":";
-  AppendJsonNumber(out, static_cast<double>(record.sequence));
-  *out += ",\"algo\":\"";
-  *out += AlgorithmName(static_cast<Algorithm>(record.algorithm));
-  *out += "\"";
-  if (record.trace_id_hi != 0 || record.trace_id_lo != 0) {
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64 "%016" PRIx64,
-                  record.trace_id_hi, record.trace_id_lo);
-    *out += ",\"trace_id\":\"";
-    *out += buf;
-    *out += "\"";
-  }
-  *out += ",\"status_code\":";
-  AppendJsonNumber(out, record.status_code);
-  *out += ",\"truncated\":";
-  *out += record.truncation != 0 ? "true" : "false";
-  *out += ",\"sources\":";
-  AppendJsonNumber(out, record.source_count);
-  *out += ",\"skyline_size\":";
-  AppendJsonNumber(out, static_cast<double>(record.skyline_size));
-  *out += ",\"wall_ms\":";
-  AppendJsonNumber(out, record.wall_seconds * 1e3);
-  *out += ",\"network_pages\":";
-  AppendJsonNumber(
-      out, static_cast<double>(record.network_hits + record.network_misses));
-  *out += ",\"index_pages\":";
-  AppendJsonNumber(
-      out, static_cast<double>(record.index_hits + record.index_misses));
-  *out += ",\"settled_nodes\":";
-  AppendJsonNumber(out, static_cast<double>(record.settled_nodes));
-  *out += ",\"dominance_tests\":";
-  AppendJsonNumber(out, static_cast<double>(record.dominance_tests));
-  *out += ",\"dominance_avoided\":";
-  AppendJsonNumber(out, static_cast<double>(record.dominance_avoided));
-  *out += ",\"bound_samples\":";
-  AppendJsonNumber(out, static_cast<double>(record.bound_samples));
-  *out += ",\"bound_pct_sum\":";
-  AppendJsonNumber(out, static_cast<double>(record.bound_pct_sum));
-  *out += ",\"cache_hits\":";
-  AppendJsonNumber(out, static_cast<double>(record.cache_hits));
-  *out += ",\"cache_misses\":";
-  AppendJsonNumber(out, static_cast<double>(record.cache_misses));
-  *out += "}";
-}
-
 // MetricsJsonl emits one JSON object per line; the bundle wants them as
 // one array value.
 std::string JsonlToArray(const std::string& jsonl) {
@@ -803,6 +753,50 @@ std::string JsonlToArray(const std::string& jsonl) {
 }
 
 }  // namespace
+
+std::string FlightJson(const obs::FlightRecorder& recorder) {
+  std::string out = "{\"total\":";
+  AppendJsonNumber(&out, static_cast<double>(recorder.total_recorded()));
+  out += ",\"records\":[";
+  bool first = true;
+  for (const obs::FlightRecord& record : recorder.Snapshot()) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "{\"sequence\":";
+    AppendJsonNumber(&out, static_cast<double>(record.sequence));
+    out += ",\"algo\":\"";
+    out += AlgorithmName(static_cast<Algorithm>(record.algorithm));
+    out += "\"";
+    if (record.trace_id_hi != 0 || record.trace_id_lo != 0) {
+      char buf[40];
+      std::snprintf(buf, sizeof(buf), "%016" PRIx64 "%016" PRIx64,
+                    record.trace_id_hi, record.trace_id_lo);
+      out += ",\"trace_id\":\"";
+      out += buf;
+      out += "\"";
+    }
+    out += ",\"status_code\":";
+    AppendJsonNumber(&out, record.status_code);
+    out += ",\"truncated\":";
+    out += record.truncation != 0 ? "true" : "false";
+    out += ",\"sources\":";
+    AppendJsonNumber(&out, record.source_count);
+    out += ",\"skyline_size\":";
+    AppendJsonNumber(&out, static_cast<double>(record.skyline_size));
+    out += ",\"wall_ms\":";
+    AppendJsonNumber(&out, record.wall_seconds * 1e3);
+    obs::AppendCounterJson(&out, record.counters);
+    out += ",\"network_page_accesses\":";
+    AppendJsonNumber(&out,
+                     static_cast<double>(record.counters.network_accesses()));
+    out += ",\"index_page_accesses\":";
+    AppendJsonNumber(&out,
+                     static_cast<double>(record.counters.index_accesses()));
+    out += "}";
+  }
+  out += "\n]}";
+  return out;
+}
 
 std::string MsqServer::DebugzJson() const {
   // Refresh level-style gauges the same way GET /metrics does, so the
@@ -837,20 +831,8 @@ std::string MsqServer::DebugzJson() const {
   out += HealthzJson();
   out += ",\n\"statz\":";
   out += StatzJson();
-  out += ",\n\"flight\":{\"total\":";
-  AppendJsonNumber(
-      &out,
-      static_cast<double>(telemetry.flight_recorder().total_recorded()));
-  out += ",\"records\":[";
-  bool first = true;
-  for (const obs::FlightRecord& record :
-       telemetry.flight_recorder().Snapshot()) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n";
-    AppendFlightRecordJson(&out, record);
-  }
-  out += "\n]}";
+  out += ",\n\"flight\":";
+  out += FlightJson(telemetry.flight_recorder());
   out += ",\n\"traces\":";
   out += obs::TracezJson(telemetry.trace_store());
   out += ",\n\"requests\":";

@@ -203,6 +203,13 @@ class MsqServer {
   std::size_t open_connections_ = 0;
 };
 
+// The flight ring as one JSON object, {"total":N,"records":[...]}: the
+// /debugz "flight" section and the msq_server --flight-out dump. Each
+// record carries its algorithm name, outcome, wall time and one member per
+// obs/counters.h row (`network_pages` = misses, as in the served `stats`),
+// plus the `network_page_accesses`/`index_page_accesses` totals.
+std::string FlightJson(const obs::FlightRecorder& recorder);
+
 }  // namespace msq::serve
 
 #endif  // MSQ_SERVE_SERVER_H_

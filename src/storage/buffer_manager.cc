@@ -63,10 +63,10 @@ void BufferManager::CountHit() {
   if (metric_hits_ != nullptr) metric_hits_->Inc();
   switch (role_) {
     case BufferRole::kNetwork:
-      ++obs::ThreadLocalCounters().network_hits;
+      ++obs::ThreadLocalCounters().network_page_hits;
       break;
     case BufferRole::kIndex:
-      ++obs::ThreadLocalCounters().index_hits;
+      ++obs::ThreadLocalCounters().index_page_hits;
       break;
     case BufferRole::kNone:
       break;
@@ -78,10 +78,10 @@ void BufferManager::CountMiss() {
   if (metric_misses_ != nullptr) metric_misses_->Inc();
   switch (role_) {
     case BufferRole::kNetwork:
-      ++obs::ThreadLocalCounters().network_misses;
+      ++obs::ThreadLocalCounters().network_pages;
       break;
     case BufferRole::kIndex:
-      ++obs::ThreadLocalCounters().index_misses;
+      ++obs::ThreadLocalCounters().index_pages;
       break;
     case BufferRole::kNone:
       break;

@@ -217,7 +217,6 @@ class BufferManager {
   // Unattached pools (raw tests) skip the mirroring entirely.
   void AttachMetrics(obs::MetricsRegistry* registry, std::string_view prefix);
 
-  BufferRole role() const { return role_; }
   std::size_t frame_count() const { return frames_; }
   std::size_t shard_count() const { return shard_count_; }
   std::size_t resident_pages() const;

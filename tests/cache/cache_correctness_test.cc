@@ -271,7 +271,7 @@ TEST(CacheCorrectnessTest, CacheCountersReconcileExactly) {
             warm.stats.cache_memo_misses);
 
   ASSERT_TRUE(warm.profile.has_value());
-  const obs::SpanCounters totals = warm.profile->TotalCounters();
+  const obs::CounterSet totals = warm.profile->TotalCounters();
   EXPECT_EQ(totals.cache_wavefront_hits, warm.stats.cache_wavefront_hits);
   EXPECT_EQ(totals.cache_wavefront_misses,
             warm.stats.cache_wavefront_misses);

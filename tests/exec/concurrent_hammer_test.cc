@@ -67,13 +67,13 @@ TEST(ConcurrentHammerTest, MixedAlgorithmsUnderFaultsMatchTheOracles) {
   workload.ResetBuffers();
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
   const std::uint64_t net0 =
-      registry.counter(obs::metric::kNetworkBufferHits)->value() +
-      registry.counter(obs::metric::kNetworkBufferMisses)->value();
+      registry.counter(&obs::CounterSet::network_page_hits)->value() +
+      registry.counter(&obs::CounterSet::network_pages)->value();
   const std::uint64_t idx0 =
-      registry.counter(obs::metric::kIndexBufferHits)->value() +
-      registry.counter(obs::metric::kIndexBufferMisses)->value();
+      registry.counter(&obs::CounterSet::index_page_hits)->value() +
+      registry.counter(&obs::CounterSet::index_pages)->value();
   const std::uint64_t settled0 =
-      registry.counter(obs::metric::kSettledNodes)->value();
+      registry.counter(&obs::CounterSet::settled_nodes)->value();
 
   workload.graph_faults()->Arm();
   workload.index_faults()->Arm();
@@ -103,15 +103,16 @@ TEST(ConcurrentHammerTest, MixedAlgorithmsUnderFaultsMatchTheOracles) {
   // registry deltas exactly — the whole point of the thread-local counter
   // substrate.
   EXPECT_EQ(net_sum,
-            registry.counter(obs::metric::kNetworkBufferHits)->value() +
-                registry.counter(obs::metric::kNetworkBufferMisses)->value() -
+            registry.counter(&obs::CounterSet::network_page_hits)->value() +
+                registry.counter(&obs::CounterSet::network_pages)->value() -
                 net0);
   EXPECT_EQ(idx_sum,
-            registry.counter(obs::metric::kIndexBufferHits)->value() +
-                registry.counter(obs::metric::kIndexBufferMisses)->value() -
+            registry.counter(&obs::CounterSet::index_page_hits)->value() +
+                registry.counter(&obs::CounterSet::index_pages)->value() -
                 idx0);
   EXPECT_EQ(settled_sum,
-            registry.counter(obs::metric::kSettledNodes)->value() - settled0);
+            registry.counter(&obs::CounterSet::settled_nodes)->value() -
+                settled0);
 
   // The fault schedule really fired, and retries absorbed all of it.
   EXPECT_GT(workload.graph_faults()->fault_stats().injected_transient_reads +

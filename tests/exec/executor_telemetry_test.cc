@@ -155,10 +155,11 @@ TEST(ExecutorTelemetryTest, FlightRecordsMatchTheBatch) {
     EXPECT_EQ(record.truncation, 0u);
     EXPECT_EQ(record.skyline_size, result.skyline.size());
     EXPECT_EQ(record.source_count, 3u);
-    EXPECT_EQ(record.settled_nodes, settled_by_digest[record.spec_digest]);
-    EXPECT_EQ(record.network_hits + record.network_misses,
+    EXPECT_EQ(record.counters.settled_nodes,
+              settled_by_digest[record.spec_digest]);
+    EXPECT_EQ(record.counters.network_page_hits + record.counters.network_pages,
               result.stats.network_page_accesses);
-    EXPECT_EQ(record.index_hits + record.index_misses,
+    EXPECT_EQ(record.counters.index_page_hits + record.counters.index_pages,
               result.stats.index_page_accesses);
     EXPECT_DOUBLE_EQ(record.wall_seconds, result.stats.total_seconds);
   }
@@ -197,8 +198,8 @@ TEST(ExecutorTelemetryTest, SlowCaptureTriggersAndStaysBounded) {
     // present and deterministic work matching the original completion.
     ASSERT_FALSE(record.profile.spans.empty());
     EXPECT_EQ(record.profile.TotalCounters().settled_nodes,
-              record.summary.settled_nodes);
-    EXPECT_GT(record.recapture_wall_seconds, 0.0);
+              record.summary.counters.settled_nodes);
+    EXPECT_GT(record.summary.wall_seconds, 0.0);
   }
 }
 
@@ -225,10 +226,12 @@ TEST(ExecutorTelemetryTest, SlowCaptureReusesCallerRequestedProfile) {
   ASSERT_EQ(slow.size(), requests.size());
   for (const obs::SlowQueryRecord& record : slow) {
     // Reuse path: the caller already paid for the trace, so the retained
-    // profile is that run — recapture time equals the original wall time.
-    EXPECT_DOUBLE_EQ(record.recapture_wall_seconds,
-                     record.summary.wall_seconds);
+    // profile is that run — its work equals the completion record's.
     EXPECT_FALSE(record.profile.spans.empty());
+    EXPECT_EQ(
+        obs::FirstCounterMismatch(record.profile.TotalCounters(),
+                                  record.summary.counters),
+        "");
   }
 }
 

@@ -116,14 +116,14 @@ TEST(QueryExecutorTest, ProfilesReconcileExactlyUnderConcurrency) {
     // Per-thread counter attribution: the profile's span totals must equal
     // this query's own stats even while three other workers hammer the
     // same two buffer pools.
-    const obs::SpanCounters totals = result.profile->TotalCounters();
+    const obs::CounterSet totals = result.profile->TotalCounters();
     EXPECT_EQ(totals.settled_nodes, result.stats.settled_nodes);
-    EXPECT_EQ(totals.network_hits + totals.network_misses,
+    EXPECT_EQ(totals.network_page_hits + totals.network_pages,
               result.stats.network_page_accesses);
-    EXPECT_EQ(totals.network_misses, result.stats.network_pages);
-    EXPECT_EQ(totals.index_hits + totals.index_misses,
+    EXPECT_EQ(totals.network_pages, result.stats.network_pages);
+    EXPECT_EQ(totals.index_page_hits + totals.index_pages,
               result.stats.index_page_accesses);
-    EXPECT_EQ(totals.index_misses, result.stats.index_pages);
+    EXPECT_EQ(totals.index_pages, result.stats.index_pages);
   }
 }
 

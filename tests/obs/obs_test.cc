@@ -1,4 +1,5 @@
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -174,16 +175,15 @@ TEST(BuildInfoTest, StampIsPopulatedAndJsonWellFormed) {
 // ----------------------------------------------------------- TraceSession
 
 TEST(TraceSessionTest, AttributesDeltasToInnermostSpan) {
-  MetricsRegistry registry;
-  Counter* settled = registry.counter(metric::kSettledNodes);
-  TraceSession session(&registry);
+  std::uint64_t& settled = ThreadLocalCounters().settled_nodes;
+  TraceSession session;
 
   const int outer = session.OpenSpan("outer");
-  settled->Inc(10);
+  settled += 10;
   const int inner = session.OpenSpan("inner");
-  settled->Inc(3);
+  settled += 3;
   session.CloseSpan(inner);
-  settled->Inc(7);
+  settled += 7;
   session.CloseSpan(outer);
 
   const QueryProfile profile = session.Take();
@@ -202,14 +202,12 @@ TEST(TraceSessionTest, AttributesDeltasToInnermostSpan) {
 }
 
 TEST(TraceSessionTest, UnbalancedCloseForceClosesDescendants) {
-  MetricsRegistry registry;
-  Counter* settled = registry.counter(metric::kSettledNodes);
-  TraceSession session(&registry);
+  TraceSession session;
 
   const int outer = session.OpenSpan("outer");
   const int child = session.OpenSpan("child");
   session.OpenSpan("grandchild");
-  settled->Inc(5);
+  ThreadLocalCounters().settled_nodes += 5;
   EXPECT_EQ(session.open_depth(), 3u);
   session.CloseSpan(outer);  // closes grandchild and child first
   EXPECT_TRUE(session.idle());
@@ -230,8 +228,7 @@ TEST(TraceSessionTest, UnbalancedCloseForceClosesDescendants) {
 }
 
 TEST(TraceSessionTest, TakeForceClosesAndResets) {
-  MetricsRegistry registry;
-  TraceSession session(&registry);
+  TraceSession session;
   session.OpenSpan("left.open");
   const QueryProfile profile = session.Take();
   ASSERT_EQ(profile.spans.size(), 1u);
@@ -246,15 +243,15 @@ TEST(TraceSessionTest, TakeForceClosesAndResets) {
 }
 
 TEST(TraceSessionTest, GaugePeakIsScopedPerSpan) {
-  MetricsRegistry registry;
-  Gauge* heap = registry.gauge(metric::kHeapPeak);
-  TraceSession session(&registry);
+  ThreadCounters& heap = ThreadLocalCounters();
+  heap.UpdateHeap(0.0);  // earlier tests on this thread may leave a level
+  TraceSession session;
 
   const int outer = session.OpenSpan("outer");
-  heap->Update(2.0);
+  heap.UpdateHeap(2.0);
   const int inner = session.OpenSpan("inner");
-  heap->Update(7.0);
-  heap->Update(1.0);
+  heap.UpdateHeap(7.0);
+  heap.UpdateHeap(1.0);
   session.CloseSpan(inner);
   session.CloseSpan(outer);
 
@@ -269,8 +266,7 @@ TEST(SpanTest, NullSessionIsNoOp) {
   Span null_span(nullptr, "ignored");
   null_span.Close();  // must not crash
 
-  MetricsRegistry registry;
-  TraceSession session(&registry);
+  TraceSession session;
   {
     Span outer(&session, "outer");
     Span moved = std::move(outer);
@@ -296,7 +292,7 @@ TEST(BufferAttributionTest, ScriptedFetchesLandInTheRightSpans) {
   }
   ASSERT_TRUE(buffer.Clear().ok());  // next fetch of any page is a miss
 
-  TraceSession session(&registry);
+  TraceSession session;
   const int cold = session.OpenSpan("cold");
   for (const PageId id : pages) ASSERT_TRUE(buffer.Fetch(id).ok());
   session.CloseSpan(cold);
@@ -307,14 +303,14 @@ TEST(BufferAttributionTest, ScriptedFetchesLandInTheRightSpans) {
 
   const QueryProfile profile = session.Take();
   ASSERT_EQ(profile.spans.size(), 2u);
-  EXPECT_EQ(profile.spans[0].self.network_misses, 3u);
-  EXPECT_EQ(profile.spans[0].self.network_hits, 0u);
-  EXPECT_EQ(profile.spans[1].self.network_misses, 0u);
-  EXPECT_EQ(profile.spans[1].self.network_hits, 2u);
+  EXPECT_EQ(profile.spans[0].self.network_pages, 3u);
+  EXPECT_EQ(profile.spans[0].self.network_page_hits, 0u);
+  EXPECT_EQ(profile.spans[1].self.network_pages, 0u);
+  EXPECT_EQ(profile.spans[1].self.network_page_hits, 2u);
   // Registry totals match the pool's own statistics.
-  EXPECT_EQ(registry.counter(metric::kNetworkBufferMisses)->value(),
+  EXPECT_EQ(registry.counter(&CounterSet::network_pages)->value(),
             buffer.stats().misses);
-  EXPECT_EQ(registry.counter(metric::kNetworkBufferHits)->value(),
+  EXPECT_EQ(registry.counter(&CounterSet::network_page_hits)->value(),
             buffer.stats().hits);
 }
 

@@ -212,9 +212,9 @@ void ExpectPlanReconciles(Algorithm algorithm, std::uint64_t seed) {
   EXPECT_EQ(plan.tiers.memo_hits, 0u);
   EXPECT_EQ(plan.tiers.wavefront_exact, 0u);
   EXPECT_GT(plan.tiers.computed, 0u);
-  EXPECT_EQ(plan.cache_hits, 0u);
-  EXPECT_EQ(plan.dominance_tests, run.result.stats.dominance_tests);
-  EXPECT_GT(plan.dominance_tests, 0u);
+  EXPECT_EQ(plan.counters.cache_hits(), 0u);
+  EXPECT_EQ(plan.counters.dominance_tests, run.result.stats.dominance_tests);
+  EXPECT_GT(plan.counters.dominance_tests, 0u);
 }
 
 TEST(PlanReconcileTest, NaivePlanReconcilesWithQueryStats) {
@@ -244,10 +244,10 @@ TEST(PlanReconcileTest, BoundAlgorithmsTakeTightnessSamples) {
   // counter path) must both be non-empty and agree.
   for (const Algorithm algorithm : {Algorithm::kEdc, Algorithm::kLbc}) {
     const PlanRun run = RunAndReconcile(algorithm, 31);
-    EXPECT_GT(run.plan.bound_tightness_samples, 0u)
+    EXPECT_GT(run.plan.counters.bound_tightness_samples, 0u)
         << AlgorithmName(algorithm);
     EXPECT_EQ(run.plan.bound_tightness.count,
-              run.plan.bound_tightness_samples);
+              run.plan.counters.bound_tightness_samples);
     // Tightness is a percent plb/dN with plb <= dN, so the mean lies in
     // (0, 100].
     EXPECT_GT(run.plan.mean_tightness_pct(), 0.0);
@@ -257,18 +257,34 @@ TEST(PlanReconcileTest, BoundAlgorithmsTakeTightnessSamples) {
 
 TEST(PlanReconcileTest, ReconcileDetectsEveryTamperedCounter) {
   PlanRun run = RunAndReconcile(Algorithm::kLbc, 37);
-  // Scalar twin drift.
+  ASSERT_FALSE(run.plan.phases.empty());
+  for (const obs::CounterField& field : obs::kCounterFields) {
+    const std::string name(field.name);
+    // Plan total drifting from its QueryStats twin.
+    obs::ExecutionPlan tampered = run.plan;
+    tampered.counters.*field.member += 1;
+    std::string mismatch = obs::ReconcilePlan(tampered, run.result.stats);
+    EXPECT_EQ(mismatch.rfind(name + ":", 0), 0u) << name << ": " << mismatch;
+    // Phase rollup no longer partitioning the totals.
+    tampered = run.plan;
+    tampered.phases.back().counters.*field.member += 1;
+    mismatch = obs::ReconcilePlan(tampered, run.result.stats);
+    EXPECT_EQ(mismatch.rfind("phase " + name + ":", 0), 0u)
+        << name << ": " << mismatch;
+  }
+  // Result-shape scalars.
   obs::ExecutionPlan tampered = run.plan;
-  tampered.dominance_tests += 1;
+  tampered.candidate_count += 1;
+  EXPECT_NE(obs::ReconcilePlan(tampered, run.result.stats), "");
+  tampered = run.plan;
+  tampered.skyline_size += 1;
   EXPECT_NE(obs::ReconcilePlan(tampered, run.result.stats), "");
   // Histogram-vs-counter drift (the two independent sample paths).
   tampered = run.plan;
   tampered.bound_tightness.count += 1;
   EXPECT_NE(obs::ReconcilePlan(tampered, run.result.stats), "");
-  // Phase rollup no longer partitioning the totals.
   tampered = run.plan;
-  ASSERT_FALSE(tampered.phases.empty());
-  tampered.phases.back().counters.settled_nodes += 1;
+  tampered.bound_tightness.sum += 1;
   EXPECT_NE(obs::ReconcilePlan(tampered, run.result.stats), "");
 }
 

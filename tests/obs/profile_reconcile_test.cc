@@ -168,12 +168,12 @@ void ExpectProfileMatchesStats(Algorithm algorithm, std::uint64_t seed) {
   EXPECT_EQ(profile.spans[0].parent, -1);
   EXPECT_EQ(profile.dropped_spans, 0u);
 
-  const obs::SpanCounters total = profile.TotalCounters();
-  EXPECT_EQ(total.network_misses, result.stats.network_pages);
-  EXPECT_EQ(total.network_hits + total.network_misses,
+  const obs::CounterSet total = profile.TotalCounters();
+  EXPECT_EQ(total.network_pages, result.stats.network_pages);
+  EXPECT_EQ(total.network_page_hits + total.network_pages,
             result.stats.network_page_accesses);
-  EXPECT_EQ(total.index_misses, result.stats.index_pages);
-  EXPECT_EQ(total.index_hits + total.index_misses,
+  EXPECT_EQ(total.index_pages, result.stats.index_pages);
+  EXPECT_EQ(total.index_page_hits + total.index_pages,
             result.stats.index_page_accesses);
   EXPECT_EQ(total.settled_nodes, result.stats.settled_nodes);
   // Cache consultations reconcile as their own access class (zero in this
@@ -186,8 +186,8 @@ void ExpectProfileMatchesStats(Algorithm algorithm, std::uint64_t seed) {
 
   // Self counters are an exact partition: summing them must also equal the
   // root span's inclusive view.
-  const obs::SpanCounters root = profile.InclusiveCounters(0);
-  EXPECT_EQ(root.network_misses, total.network_misses);
+  const obs::CounterSet root = profile.InclusiveCounters(0);
+  EXPECT_EQ(root.network_pages, total.network_pages);
   EXPECT_EQ(root.settled_nodes, total.settled_nodes);
   EXPECT_EQ(root.dominance_tests, total.dominance_tests);
 
@@ -288,9 +288,9 @@ TEST(ProfileReconcileTest, ProfileReportAggregatesPhases) {
   // derivation reconciles exactly with QueryStats (same integers through
   // the same function).
   EXPECT_NE(report.find("pages_per_settled_node"), std::string::npos);
-  const obs::SpanCounters total = result.profile->TotalCounters();
+  const obs::CounterSet total = result.profile->TotalCounters();
   EXPECT_EQ(
-      obs::PagesPerSettledNode(total.network_misses, total.settled_nodes),
+      obs::PagesPerSettledNode(total.network_pages, total.settled_nodes),
       obs::PagesPerSettledNode(result.stats.network_pages,
                                result.stats.settled_nodes));
   EXPECT_EQ(obs::PagesPerSettledNode(0, 0), 0.0);

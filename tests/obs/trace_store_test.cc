@@ -243,7 +243,7 @@ TEST(TailSamplingTest, SlowQueryLogFedWithoutReexecution) {
   // The log holds this run's own profile — capture never re-ran anything.
   ASSERT_EQ(slow[0].profile.spans.size(), 1u);
   EXPECT_EQ(slow[0].profile.spans[0].name, "ce");
-  EXPECT_DOUBLE_EQ(slow[0].recapture_wall_seconds, 0.200);
+  EXPECT_DOUBLE_EQ(slow[0].summary.wall_seconds, 0.200);
 }
 
 TEST(TailSamplingTest, HeadSampleCoinHonorsRate) {

@@ -875,5 +875,48 @@ TEST(ServerTest, DebugzBundlesEverySection) {
   EXPECT_NE(direct.find("\"build\":"), std::string::npos);
 }
 
+TEST(ServerTest, DebugzFlightRecordsUseTheServedPageUnits) {
+  // The same query twice on one connection: a cold run, then a warm one
+  // whose page lookups are mostly buffer hits. Each flight record's
+  // `network_pages`/`index_pages` must be the served `stats` numbers
+  // (misses), with the lookups under `*_page_accesses`.
+  ServerStack stack;
+  ASSERT_TRUE(stack.start_status.ok());
+  const int fd = Connect(stack).value();
+  std::vector<JsonValue> replies;
+  for (int i = 0; i < 2; ++i) {
+    const StatusOr<std::string> reply = RoundTrip(
+        fd, "{\"algo\":\"lbc\",\"sources\":[{\"edge\":2},{\"edge\":9}]}");
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    replies.push_back(ParseJson(reply.value()).value());
+  }
+  ::close(fd);
+
+  JsonLimits limits;
+  limits.max_bytes = 8u << 20;
+  limits.max_values = 1u << 20;
+  const StatusOr<JsonValue> bundle =
+      ParseJson(stack.server->DebugzJson(), limits);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  const std::vector<JsonValue>& records =
+      bundle.value().Find("flight")->Find("records")->AsArray();
+  ASSERT_EQ(records.size(), 2u);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const JsonValue& stats = *replies[i].Find("stats");
+    for (const char* key : {"network_pages", "index_pages", "settled_nodes"}) {
+      ASSERT_NE(records[i].Find(key), nullptr) << key;
+      EXPECT_EQ(records[i].Find(key)->AsNumber(),
+                stats.Find(key)->AsNumber())
+          << "query " << i << " " << key;
+    }
+    ASSERT_NE(records[i].Find("network_page_accesses"), nullptr);
+    EXPECT_GE(records[i].Find("network_page_accesses")->AsNumber(),
+              records[i].Find("network_pages")->AsNumber());
+  }
+  // The warm run hit the buffer pool, so the two units really differ.
+  EXPECT_GT(records[1].Find("network_page_accesses")->AsNumber(),
+            records[1].Find("network_pages")->AsNumber());
+}
+
 }  // namespace
 }  // namespace msq::serve

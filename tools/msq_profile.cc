@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "core/naive.h"
@@ -118,43 +119,37 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
 }
 
 // Checks the tracer's defining invariant: the profile's self-counter sums
-// must equal the query's top-level QueryStats exactly. Prints every
+// must equal the query's top-level QueryStats exactly, on every
+// obs/counters.h row and on the page-access totals. Prints every
 // mismatching measure; returns false on any mismatch so main can exit
 // non-zero (the CI gate).
 bool ReconcileProfile(const obs::QueryProfile& profile,
                       const QueryStats& stats) {
-  const obs::SpanCounters total = profile.TotalCounters();
+  const obs::CounterSet total = profile.TotalCounters();
   bool ok = true;
-  auto check = [&ok](const char* what, std::uint64_t from_spans,
+  auto check = [&ok](std::string_view what, std::uint64_t from_spans,
                      std::uint64_t from_stats) {
     if (from_spans == from_stats) return;
     std::fprintf(stderr,
-                 "reconciliation FAILED: %s — span self-sum %llu != "
+                 "reconciliation FAILED: %.*s — span self-sum %llu != "
                  "QueryStats %llu\n",
-                 what, static_cast<unsigned long long>(from_spans),
+                 static_cast<int>(what.size()), what.data(),
+                 static_cast<unsigned long long>(from_spans),
                  static_cast<unsigned long long>(from_stats));
     ok = false;
   };
-  check("network pages (misses)", total.network_misses,
-        stats.network_pages);
-  check("network page accesses", total.network_hits + total.network_misses,
+  for (const obs::CounterField& field : obs::kCounterFields) {
+    check(field.name, total.*field.member, stats.*field.member);
+  }
+  check("network_page_accesses", total.network_accesses(),
         stats.network_page_accesses);
-  check("index pages (misses)", total.index_misses, stats.index_pages);
-  check("index page accesses", total.index_hits + total.index_misses,
+  check("index_page_accesses", total.index_accesses(),
         stats.index_page_accesses);
-  check("settled nodes", total.settled_nodes, stats.settled_nodes);
-  check("cache wavefront hits", total.cache_wavefront_hits,
-        stats.cache_wavefront_hits);
-  check("cache wavefront misses", total.cache_wavefront_misses,
-        stats.cache_wavefront_misses);
-  check("cache memo hits", total.cache_memo_hits, stats.cache_memo_hits);
-  check("cache memo misses", total.cache_memo_misses,
-        stats.cache_memo_misses);
   // The derived pages_per_settled_node figure must reconcile too: the
   // span-side and QueryStats-side derivations divide the same integers
   // through the same function, so they must agree bit-for-bit.
   const double from_spans =
-      obs::PagesPerSettledNode(total.network_misses, total.settled_nodes);
+      obs::PagesPerSettledNode(total.network_pages, total.settled_nodes);
   const double from_stats = obs::PagesPerSettledNode(
       stats.network_pages, stats.settled_nodes);
   if (from_spans != from_stats) {
@@ -256,12 +251,12 @@ int main(int argc, char** argv) {
       "bounds pruned %llu / examined %llu, mean tightness %.1f%% "
       "(%llu samples), lookups memo %llu / wavefront %llu / computed "
       "%llu\n",
-      static_cast<unsigned long long>(plan.dominance_tests),
-      static_cast<unsigned long long>(plan.dominance_tests_avoided),
-      static_cast<unsigned long long>(plan.bound_pruned),
-      static_cast<unsigned long long>(plan.bound_examined),
+      static_cast<unsigned long long>(plan.counters.dominance_tests),
+      static_cast<unsigned long long>(plan.counters.dominance_tests_avoided),
+      static_cast<unsigned long long>(plan.counters.bound_pruned),
+      static_cast<unsigned long long>(plan.counters.bound_examined),
       plan.mean_tightness_pct(),
-      static_cast<unsigned long long>(plan.bound_tightness_samples),
+      static_cast<unsigned long long>(plan.counters.bound_tightness_samples),
       static_cast<unsigned long long>(plan.tiers.memo_hits),
       static_cast<unsigned long long>(plan.tiers.wavefront_exact),
       static_cast<unsigned long long>(plan.tiers.computed));

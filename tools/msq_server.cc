@@ -466,26 +466,12 @@ int main(int argc, char** argv) {
     out += "\n]}\n";
     if (!WriteFile(opts.trace_out, out)) return 1;
   }
-  if (!opts.flight_out.empty()) {
-    // Flight dump shares the msq_stats JSON shape (one record per line is
-    // not needed here; the array form diffs well in CI artifacts).
-    std::string out = "[\n";
-    const std::vector<obs::FlightRecord> flight =
-        executor->telemetry().flight_recorder().Snapshot();
-    for (std::size_t i = 0; i < flight.size(); ++i) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"sequence\":%llu,\"algorithm\":%u,"
-                    "\"status_code\":%d,\"truncation\":%u,"
-                    "\"wall_seconds\":%.6f}",
-                    (unsigned long long)flight[i].sequence,
-                    flight[i].algorithm, flight[i].status_code,
-                    flight[i].truncation, flight[i].wall_seconds);
-      out += buf;
-      out += i + 1 < flight.size() ? ",\n" : "\n";
-    }
-    out += "]\n";
-    if (!WriteFile(opts.flight_out, out)) return 1;
+  // The same flight-ring encoding as the /debugz "flight" section.
+  if (!opts.flight_out.empty() &&
+      !WriteFile(opts.flight_out,
+                 serve::FlightJson(executor->telemetry().flight_recorder()) +
+                     "\n")) {
+    return 1;
   }
   return 0;
 }
