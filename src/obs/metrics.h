@@ -141,10 +141,7 @@ MetricsRegistry& GlobalMetrics();
 // query executes on exactly one thread, so deltas of this block taken
 // around a query window count that query's work and nothing else — the
 // substrate for per-query QueryStats, span attribution and flight records
-// under a concurrent executor. A helper thread doing part of a query's
-// work moves it to the query thread: it rewinds its own block to the
-// snapshot taken before the work, and the query thread adds the delta
-// (`after - before`) so its own windows see the helper's work.
+// under a concurrent executor.
 struct ThreadCounters : CounterSet {
   // Thread-scoped view of the core.heap_peak gauge, with the same
   // level+high-water semantics.

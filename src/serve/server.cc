@@ -7,7 +7,9 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
+#include <limits>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include <cinttypes>
@@ -32,6 +34,25 @@ const char* HttpReason(int status) {
     case 503: return "Service Unavailable";
     default: return "Internal Server Error";
   }
+}
+
+// Parses a Content-Length value: decimal digits with optional surrounding
+// spaces or tabs. A value too large for u64 saturates — it is well-formed,
+// just over any limit. Null for anything else (empty, signed, trailing
+// garbage).
+std::optional<std::uint64_t> ParseContentLength(std::string_view value) {
+  auto blank = [](char c) { return c == ' ' || c == '\t'; };
+  while (!value.empty() && blank(value.front())) value.remove_prefix(1);
+  while (!value.empty() && blank(value.back())) value.remove_suffix(1);
+  if (value.empty()) return std::nullopt;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t n = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    n = n > (kMax - digit) / 10 ? kMax : n * 10 + digit;
+  }
+  return n;
 }
 
 std::string HttpResponse(int status, const std::string& content_type,
@@ -497,7 +518,7 @@ MsqServer::Reply MsqServer::HandleHttp(const std::string& request_line,
   // Headers: bounded in count and (via FrameReader) per-line size. Only
   // Content-Length and (for POST /query) traceparent matter to this
   // server.
-  std::size_t content_length = 0;
+  std::optional<std::uint64_t> content_length;
   std::string traceparent_header;
   for (int i = 0; i < 64; ++i) {
     StatusOr<std::string> header = reader->ReadLine();
@@ -518,20 +539,26 @@ MsqServer::Reply MsqServer::HandleHttp(const std::string& request_line,
     std::transform(name.begin(), name.end(), name.begin(),
                    [](unsigned char c) { return std::tolower(c); });
     if (name == "content-length") {
-      std::size_t value_start = colon + 1;
-      while (value_start < h.size() && h[value_start] == ' ') ++value_start;
-      char* end = nullptr;
-      const unsigned long long n =
-          std::strtoull(h.c_str() + value_start, &end, 10);
-      if (end == h.c_str() + value_start ||
-          n > config_.max_request_bytes) {
+      const std::optional<std::uint64_t> n =
+          ParseContentLength(std::string_view(h).substr(colon + 1));
+      if (!n.has_value() ||
+          (content_length.has_value() && *content_length != *n)) {
+        return {HttpResponse(400, "application/json",
+                             EncodeErrorResponse(
+                                 "", StatusCode::kInvalidArgument,
+                                 n.has_value()
+                                     ? "conflicting content-length headers"
+                                     : "malformed content-length")),
+                400};
+      }
+      if (*n > config_.max_request_bytes) {
         return {HttpResponse(413, "application/json",
                              EncodeErrorResponse(
                                  "", StatusCode::kResourceExhausted,
                                  "content-length exceeds limit")),
                 413};
       }
-      content_length = static_cast<std::size_t>(n);
+      content_length = n;
     } else if (name == "traceparent") {
       std::size_t value_start = colon + 1;
       while (value_start < h.size() && h[value_start] == ' ') ++value_start;
@@ -602,7 +629,8 @@ MsqServer::Reply MsqServer::HandleHttp(const std::string& request_line,
             200};
   }
   if (method == "POST" && path == "/query") {
-    StatusOr<std::string> body = reader->ReadExact(content_length);
+    StatusOr<std::string> body = reader->ReadExact(
+        static_cast<std::size_t>(content_length.value_or(0)));
     if (!body.ok()) {
       const int status =
           body.status().code() == StatusCode::kResourceExhausted ? 413

@@ -153,7 +153,7 @@ class MsqServer {
   struct Reply {
     std::string body;
     int http_status = 200;
-    obs::WideEvent event;
+    obs::WideEvent event{};
     bool has_event = false;
   };
   // `received_at` is the MonotonicSeconds() mark of frame arrival (the

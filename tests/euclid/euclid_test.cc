@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "euclid/bbs.h"
 #include "euclid/bnl.h"
-#include "euclid/sfs.h"
 #include "index/rtree.h"
 #include "storage/buffer_manager.h"
 #include "storage/disk_manager.h"
@@ -58,33 +57,6 @@ TEST(BnlTest, DuplicateVectorsBothSkyline) {
 
 TEST(BnlTest, EmptyInput) {
   EXPECT_TRUE(BnlEuclideanSkyline({}, {{0, 0}}).empty());
-}
-
-TEST(SfsTest, MatchesBnlOnRandomInputs) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto points = RandomPoints(200, seed);
-    const auto queries = RandomPoints(3, seed + 100);
-    EXPECT_EQ(SfsEuclideanSkyline(points, queries),
-              BnlEuclideanSkyline(points, queries))
-        << "seed " << seed;
-  }
-}
-
-TEST(SfsTest, ExcludesNonFiniteVectors) {
-  std::vector<DistVector> vectors = {
-      {1.0, 2.0}, {kInfDist, 0.5}, {2.0, 1.0}};
-  const auto skyline = SfsSkyline(vectors);
-  EXPECT_EQ(skyline, (std::vector<std::size_t>{0, 2}));
-}
-
-TEST(SfsTest, GenericVectorsWithAttributes) {
-  // 2 distance dims + 1 attribute dim.
-  std::vector<DistVector> vectors = {
-      {1.0, 1.0, 0.5},   // skyline
-      {1.0, 1.0, 0.7},   // dominated by 0 (same dists, worse attr)
-      {2.0, 0.5, 0.9}};  // skyline (best second dim? 0.5 < 1.0)
-  const auto skyline = SfsSkyline(vectors);
-  EXPECT_EQ(skyline, (std::vector<std::size_t>{0, 2}));
 }
 
 class BbsTest : public ::testing::Test {

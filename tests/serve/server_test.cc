@@ -357,11 +357,35 @@ TEST(ServerTest, HttpEndpoints) {
                                "2\r\n\r\n{}");
   EXPECT_NE(bad.find("400"), std::string::npos);
 
+  // Content-Length is digits with optional blanks around them; anything
+  // else, or two headers that disagree, is a malformed request (400). Only
+  // a well-formed length over max_request_bytes is too large (413).
+  for (const std::string& header :
+       {std::string("Content-Length: x"), std::string("Content-Length: 5abc"),
+        std::string("Content-Length: -5"), std::string("Content-Length: "),
+        std::string("Content-Length: 5\r\nContent-Length: 6")}) {
+    const std::string reply =
+        http("POST /query HTTP/1.1\r\n" + header + "\r\n\r\n{}");
+    EXPECT_NE(reply.find("400 Bad Request"), std::string::npos) << header;
+    EXPECT_NE(reply.find("INVALID_ARGUMENT"), std::string::npos) << header;
+  }
+  const std::string padded =
+      http("POST /query HTTP/1.1\r\nContent-Length: \t" +
+           std::to_string(body.size()) + " \t\r\nContent-Length: " +
+           std::to_string(body.size()) + "\r\n\r\n" + body);
+  EXPECT_NE(padded.find("200 OK"), std::string::npos);
+  const std::string huge = http(
+      "POST /query HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n"
+      "\r\n{}");
+  EXPECT_NE(huge.find("413"), std::string::npos);
+  EXPECT_NE(huge.find("RESOURCE_EXHAUSTED"), std::string::npos);
+
   const std::string statz = http("GET /statz HTTP/1.1\r\n\r\n");
   EXPECT_NE(statz.find("\"received\""), std::string::npos);
   EXPECT_NE(statz.find("\"network_buffer\""), std::string::npos);
   EXPECT_NE(statz.find("\"shard_occupancy_ratio\""), std::string::npos);
   EXPECT_NE(statz.find("\"shard_access_ratio\""), std::string::npos);
+  EXPECT_EQ(stack.server->admission().CheckConservation(), "");
 }
 
 // Raw HTTP round trip on a fresh connection: write the request, drain
