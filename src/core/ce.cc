@@ -52,36 +52,23 @@ void StoreStreams(
   }
 }
 
-// Per-object bookkeeping shared by both phases.
-struct ObjectState {
-  DistVector dist;            // network distances; kInfDist until visited
-  std::uint32_t visit_count = 0;
-  bool candidate = false;     // member of C
-  bool determined = false;    // reported as skyline or pruned
-};
+// Per-query object state, flat and sized once for the m objects: row
+// `id` of `dist` (stride n) holds the object's network distance to each
+// query point, kInfDist until that stream has emitted it.
+struct ObjectTable {
+  ObjectTable(std::size_t m, std::size_t n)
+      : n(n), dist(m * n, kInfDist), visits(m, 0), determined(m, 0) {}
 
-// Whether skyline point `s` (complete vector, static attributes appended)
-// provably dominates candidate `c` given c's partially known distances.
-// For an unknown dimension i, dN(qi, c) >= s.dist[i] holds because query
-// point qi's stream emits in ascending order and it has already emitted s.
-// Returns true only when strict dominance is certain.
-bool ProvablyDominates(const DistVector& s_vec, const ObjectState& c,
-                       const DistVector& c_attrs, std::size_t n) {
-  bool strict = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::isfinite(c.dist[i])) {
-      if (s_vec[i] > c.dist[i]) return false;
-      if (s_vec[i] < c.dist[i]) strict = true;
-    }
-    // Unknown dimension: s_vec[i] <= dN(qi, c), never contradicts, never
-    // certainly strict.
+  Dist* row(ObjectId id) { return dist.data() + id * n; }
+  DistVector Vector(ObjectId id) const {
+    return DistVector(dist.begin() + id * n, dist.begin() + (id + 1) * n);
   }
-  for (std::size_t j = 0; j < c_attrs.size(); ++j) {
-    if (s_vec[n + j] > c_attrs[j]) return false;
-    if (s_vec[n + j] < c_attrs[j]) strict = true;
-  }
-  return strict;
-}
+
+  std::size_t n;
+  std::vector<Dist> dist;
+  std::vector<std::uint32_t> visits;      // streams that emitted the object
+  std::vector<std::uint8_t> determined;   // reported as skyline or pruned
+};
 
 // Generalized CE for datasets with static attributes. The two-phase
 // paper formulation is wrong there: its filtering phase stops at the first
@@ -120,29 +107,32 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
   // distance to that query point.
   std::vector<Dist> radius(n, 0.0);
 
-  std::vector<ObjectState> state(m);
-  for (ObjectState& s : state) s.dist.assign(n, kInfDist);
-  std::vector<bool> visited_once(m, false);
+  ObjectTable objects(m, n);
+  std::vector<std::uint8_t> visited(m, 0);
   std::size_t undetermined = m;
+  // Every object not yet determined, in no particular order; prune_scan
+  // compacts away the ones determined since the last scan.
+  std::vector<ObjectId> open(m);
+  for (ObjectId id = 0; id < m; ++id) open[id] = id;
+  const std::vector<DistVector>& attributes = *dataset.static_attributes;
+  MSQ_CHECK(attributes.size() >= m);
 
   std::vector<DistVector> skyline_vectors;
 
   auto full_vector = [&](ObjectId id) {
-    DistVector vec = state[id].dist;
-    const DistVector attrs = dataset.StaticAttributesOf(id);
-    vec.insert(vec.end(), attrs.begin(), attrs.end());
+    DistVector vec = objects.Vector(id);
+    vec.insert(vec.end(), attributes[id].begin(), attributes[id].end());
     return vec;
   };
 
   // Whether skyline vector `s` provably dominates object `id` given the
   // known distances, the per-stream radii, and the static attributes.
   auto provably_dominated = [&](const DistVector& s, ObjectId id) {
-    const ObjectState& obj = state[id];
-    const DistVector attrs = dataset.StaticAttributesOf(id);
+    const Dist* dist = objects.row(id);
+    const DistVector& attrs = attributes[id];
     bool strict = false;
     for (std::size_t q = 0; q < n; ++q) {
-      const Dist bound =
-          std::isfinite(obj.dist[q]) ? obj.dist[q] : radius[q];
+      const Dist bound = std::isfinite(dist[q]) ? dist[q] : radius[q];
       if (s[q] > bound) return false;
       if (s[q] < bound) strict = true;
     }
@@ -155,18 +145,23 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
 
   auto prune_scan = [&]() {
     obs::Span span(trace, "ce.prune");
-    for (ObjectId id = 0; id < m; ++id) {
-      if (state[id].determined) continue;
+    std::size_t kept = 0;
+    for (const ObjectId id : open) {
+      if (objects.determined[id]) continue;
+      bool pruned = false;
       for (const DistVector& s : skyline_vectors) {
         if (provably_dominated(s, id)) {
-          state[id].determined = true;
+          objects.determined[id] = 1;
           --undetermined;
           // Pruned on radius lower bounds before its vector was complete.
           CountBoundPruned();
+          pruned = true;
           break;
         }
       }
+      if (!pruned) open[kept++] = id;
     }
+    open.resize(kept);
   };
 
   std::size_t turn = 0;
@@ -204,20 +199,19 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
                                    visit->distance,
                                    dataset.graph_pager->data_epoch());
     }
-    ObjectState& obj = state[visit->object];
-    if (!visited_once[visit->object]) {
-      visited_once[visit->object] = true;
+    const ObjectId id = visit->object;
+    if (!visited[id]) {
+      visited[id] = 1;
       ++result.stats.candidate_count;
     }
-    if (obj.determined) continue;
-    obj.dist[qi] = visit->distance;
-    ++obj.visit_count;
-    if (obj.visit_count == n) {
-      obj.determined = true;
+    if (objects.determined[id]) continue;
+    objects.row(id)[qi] = visit->distance;
+    if (++objects.visits[id] == n) {
+      objects.determined[id] = 1;
       --undetermined;
       // All n distances were resolved exactly: fully examined.
       CountBoundExamined();
-      const DistVector vec = full_vector(visit->object);
+      const DistVector vec = full_vector(id);
       bool dominated = false;
       for (std::size_t si = 0; si < skyline_vectors.size(); ++si) {
         if (Dominates(skyline_vectors[si], vec)) {
@@ -229,7 +223,7 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
       if (!dominated) {
         scope.MarkInitial();
         SkylineEntry entry;
-        entry.object = visit->object;
+        entry.object = id;
         entry.vector = vec;
         if (on_skyline) on_skyline(entry);
         result.skyline.push_back(entry);
@@ -307,10 +301,13 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
   }
   std::vector<bool> exhausted(n, false);
 
-  std::vector<ObjectState> state(m);
-  for (ObjectState& s : state) s.dist.assign(n, kInfDist);
+  ObjectTable objects(m, n);
+  std::vector<std::uint8_t> candidate(m, 0);  // member of C
+  // Candidates not yet determined, in no particular order; determine()
+  // compacts away the ones determined since its last sweep.
+  std::vector<ObjectId> open;
 
-  std::vector<DistVector> skyline_vectors;  // with attributes appended
+  std::vector<DistVector> skyline_vectors;
   std::size_t candidates_open = 0;
   bool filtering = true;
   // Distance vector of the first skyline point (the object that ended the
@@ -320,24 +317,33 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
   // would lose.
   DistVector first_skyline_vec;
 
-  // Builds the full comparison vector (distances + attributes) of `id`.
-  auto full_vector = [&](ObjectId id) {
-    DistVector vec = state[id].dist;
-    const DistVector attrs = dataset.StaticAttributesOf(id);
-    vec.insert(vec.end(), attrs.begin(), attrs.end());
-    return vec;
+  // Whether complete skyline vector `s` provably dominates candidate `c`
+  // given c's partially known distances. For an unknown dimension i,
+  // dN(qi, c) >= s[i] holds because query point qi's stream emits in
+  // ascending order and it has already emitted s — so it never contradicts
+  // and is never certainly strict. True only when strict dominance is
+  // certain.
+  auto provably_dominates = [&](const DistVector& s, ObjectId c) {
+    const Dist* dist = objects.row(c);
+    bool strict = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (std::isfinite(dist[i])) {
+        if (s[i] > dist[i]) return false;
+        if (s[i] < dist[i]) strict = true;
+      }
+    }
+    return strict;
   };
 
   // Handles an object whose distance vector just became complete: reports
   // it if undominated and prunes candidates it provably dominates.
   auto determine = [&](ObjectId id) {
-    ObjectState& obj = state[id];
-    MSQ_CHECK(obj.candidate && !obj.determined);
-    obj.determined = true;
+    MSQ_CHECK(candidate[id] && !objects.determined[id]);
+    objects.determined[id] = 1;
     --candidates_open;
     // Determination means every distance was resolved: fully examined.
     CountBoundExamined();
-    const DistVector vec = full_vector(id);
+    const DistVector vec = objects.Vector(id);
     for (std::size_t si = 0; si < skyline_vectors.size(); ++si) {
       if (Dominates(skyline_vectors[si], vec)) {
         CountDominanceAvoided(skyline_vectors.size() - si - 1);
@@ -352,17 +358,21 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
     result.skyline.push_back(entry);
     skyline_vectors.push_back(vec);
 
-    // Prune candidates that the new skyline point provably dominates.
-    for (ObjectId c = 0; c < m; ++c) {
-      ObjectState& cand = state[c];
-      if (!cand.candidate || cand.determined) continue;
-      if (ProvablyDominates(vec, cand, dataset.StaticAttributesOf(c), n)) {
-        cand.determined = true;
+    // Prune the open candidates that the new skyline point provably
+    // dominates.
+    std::size_t kept = 0;
+    for (const ObjectId c : open) {
+      if (objects.determined[c]) continue;
+      if (provably_dominates(vec, c)) {
+        objects.determined[c] = 1;
         --candidates_open;
         // Pruned on partial distances + emission-order lower bounds.
         CountBoundPruned();
+        continue;
       }
+      open[kept++] = c;
     }
+    open.resize(kept);
   };
 
   // Round-robin expansion over the query points. The filtering phase span
@@ -403,47 +413,48 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
                                    dataset.graph_pager->data_epoch());
     }
 
-    ObjectState& obj = state[visit->object];
+    const ObjectId id = visit->object;
     if (filtering) {
       // Every object encountered during filtering becomes a candidate.
-      if (!obj.candidate) {
-        obj.candidate = true;
+      if (!candidate[id]) {
+        candidate[id] = 1;
+        open.push_back(id);
         ++candidates_open;
         ++result.stats.candidate_count;
       }
-    } else if (!obj.candidate) {
+    } else if (!candidate[id]) {
       // Refinement phase: a new object is component-wise >= the first
       // skyline point, so unless this visit ties that point's distance it
       // is strictly dominated and discarded (the paper's rule); exact ties
       // stay live so co-located duplicates are not lost.
       if (visit->distance != first_skyline_vec[qi]) {
-        if (!obj.determined) {
+        if (!objects.determined[id]) {
           // First discard of this object: pruned on the emission-order
           // lower bound without ever becoming a candidate.
-          obj.determined = true;
+          objects.determined[id] = 1;
           CountBoundPruned();
         }
         continue;
       }
       // Already discarded through another stream: the strict-dominance
       // proof stands, an exact tie elsewhere cannot undo it.
-      if (obj.determined) continue;
-      obj.candidate = true;
+      if (objects.determined[id]) continue;
+      candidate[id] = 1;
+      open.push_back(id);
       ++candidates_open;
-    } else if (obj.determined) {
+    } else if (objects.determined[id]) {
       continue;
     }
 
-    obj.dist[qi] = visit->distance;
-    ++obj.visit_count;
-    if (obj.visit_count == n) {
+    objects.row(id)[qi] = visit->distance;
+    if (++objects.visits[id] == n) {
       if (filtering) {
         filtering = false;
-        first_skyline_vec = obj.dist;
+        first_skyline_vec = objects.Vector(id);
         phase_span.Close();
         phase_span = obs::Span(trace, "ce.refine");
       }
-      determine(visit->object);
+      determine(id);
     }
 
     if (!filtering && candidates_open == 0) {

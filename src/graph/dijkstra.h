@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph_pager.h"
@@ -67,6 +68,11 @@ class DijkstraSearch {
   struct Settled {
     NodeId node;
     Dist distance;
+    // The node's adjacency as the expansion step just read it. Valid until
+    // the next NextSettled/DistanceTo call; callers that need the incident
+    // edges (the NN stream's middle-layer probes) use it instead of
+    // reading the adjacency page a second time.
+    std::span<const AdjacencyEntry> adjacency;
   };
 
   // Settles and returns the next-nearest node, expanding the wavefront by

@@ -21,7 +21,6 @@ NetworkNnStream::NetworkNnStream(const GraphPager* pager,
     : search_(resume != nullptr
                   ? DijkstraSearch(pager, source, resume->search)
                   : DijkstraSearch(pager, source)),
-      pager_(pager),
       mapping_(mapping) {
   MSQ_CHECK(mapping != nullptr);
   emitted_.assign(mapping->object_count(), 0);
@@ -121,9 +120,9 @@ std::optional<NetworkNnStream::Visit> NetworkNnStream::Next() {
       if (heap_.empty()) return std::nullopt;
       continue;
     }
-    // Probe every incident edge from this (now exact) endpoint.
-    OkOrThrow(pager_->AdjacencyOf(settled->node, &scratch_adjacency_));
-    for (const AdjacencyEntry& adj : scratch_adjacency_) {
+    // Probe every incident edge from this (now exact) endpoint, reusing
+    // the adjacency the settle step just read.
+    for (const AdjacencyEntry& adj : settled->adjacency) {
       ProbeEdge(adj.edge, settled->node, settled->distance);
     }
   }

@@ -95,7 +95,6 @@ class NetworkNnStream {
   void HeapPop();
 
   DijkstraSearch search_;
-  const GraphPager* pager_;
   const SpatialMapping* mapping_;
   std::vector<Dist> best_;
   std::vector<std::uint8_t> emitted_;
@@ -103,7 +102,6 @@ class NetworkNnStream {
   // from a snapshot).
   std::vector<HeapItem> heap_;
   std::vector<EdgeObject> scratch_objects_;
-  std::vector<AdjacencyEntry> scratch_adjacency_;
 };
 
 }  // namespace msq

@@ -2,6 +2,11 @@
 
 namespace msq::obs {
 
+std::size_t Counter::NextSlot() {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kSlots;
+}
+
 Counter* MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);

@@ -4,12 +4,14 @@
 // dominance kernel) report into named metrics here, and obs/export.h dumps
 // the whole registry as JSONL or Prometheus text.
 //
-// Counters are relaxed-atomic uint64 increments behind a stable pointer, so
-// the hot paths pay one uncontended atomic add (plus a null check where
-// attachment is optional) — cheap enough to stay always-on, like the
-// existing BufferStats. The registry itself is thread-safe: concurrent
+// Counters sit behind a stable pointer and are striped: each one holds
+// kSlots cache-line-aligned relaxed-atomic slots, Inc adds to the calling
+// thread's slot and value() sums them. Concurrent workers bumping the same
+// counter (every dominance test, every settled node) therefore write
+// different cache lines instead of bouncing one line between cores, and
+// the totals stay exact. The registry itself is thread-safe: concurrent
 // queries running in a QueryExecutor pool all report into the same global
-// registry, whose totals stay exact under contention.
+// registry.
 //
 // Per-thread attribution lives next to the global totals: ThreadCounters is
 // a thread-local block the same hot paths bump alongside the registry.
@@ -24,6 +26,7 @@
 #define MSQ_OBS_METRICS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -38,17 +41,37 @@ namespace msq::obs {
 
 // Monotonically increasing event count. Thread-safe; relaxed ordering is
 // sufficient because readers only consume totals/deltas, never ordering.
+// Threads map round-robin onto the slots, so up to kSlots threads each own
+// a cache line; beyond that, threads share slots and still count exactly.
 class Counter {
  public:
+  static constexpr std::size_t kSlots = 16;
+
   void Inc(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    slots_[ThreadSlot()].value.fetch_add(n, std::memory_order_relaxed);
   }
+  // Sum of the slots; concurrent increments may or may not be included.
   std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Slot& slot : slots_) {
+      total += slot.value.load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Slot {
+    std::atomic<std::uint64_t> value{0};
+  };
+
+  // The calling thread's slot, assigned on its first increment.
+  static std::size_t ThreadSlot() {
+    thread_local const std::size_t slot = NextSlot();
+    return slot;
+  }
+  static std::size_t NextSlot();
+
+  Slot slots_[kSlots];
 };
 
 // Instantaneous level with a high-water mark. TraceSession scopes the peak

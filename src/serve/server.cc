@@ -286,7 +286,10 @@ MsqServer::Reply MsqServer::HandleQuery(const std::string& text,
   const double parse_start = MonotonicSeconds();
   StatusOr<ServeRequest> parsed =
       ParseServeRequestText(std::string_view(text));
-  event.parse_ms = (MonotonicSeconds() - parse_start) * 1e3;
+  // The queue stage starts where parsing ends, so the served stages
+  // partition total_ms instead of overlapping.
+  const double parsed_at = MonotonicSeconds();
+  event.parse_ms = (parsed_at - parse_start) * 1e3;
   // Trace context priority: request body field, then HTTP header, then a
   // server mint with the head-sampling coin. Every request — even one
   // about to be rejected — gets an identity so its wide event is
@@ -372,13 +375,13 @@ MsqServer::Reply MsqServer::HandleQuery(const std::string& text,
       static_cast<std::uint64_t>(queue_seconds * 1e6));
   wall_us_hist_->Observe(
       static_cast<std::uint64_t>(total_seconds * 1e6));
-  // True queue wait — accept to execute-start on a worker, from the
-  // executor's clock stamps — split by outcome. Falls back to the derived
-  // figure if the stamps are missing (disabled telemetry never clears
-  // them, so this is belt-and-braces).
+  // True queue wait — end of parsing to execute-start on a worker, from
+  // the executor's clock stamps — split by outcome. Falls back to the
+  // derived figure if the stamps are missing (disabled telemetry never
+  // clears them, so this is belt-and-braces).
   const double queue_wait_seconds =
       result.exec_started_at > 0.0
-          ? std::max(0.0, result.exec_started_at - received_at)
+          ? std::max(0.0, result.exec_started_at - parsed_at)
           : queue_seconds;
   obs::Histogram* queue_wait_hist =
       outcome == RequestOutcome::kCompleted   ? queue_wait_completed_

@@ -184,7 +184,7 @@ class MsqServer {
   obs::Counter* const write_errors_;
   obs::Histogram* const queue_us_hist_;
   obs::Histogram* const wall_us_hist_;
-  // True queue wait (accept -> execute start), split by outcome.
+  // True queue wait (end of parsing -> execute start), split by outcome.
   obs::Histogram* const queue_wait_completed_;
   obs::Histogram* const queue_wait_truncated_;
   obs::Histogram* const queue_wait_failed_;

@@ -10,11 +10,20 @@
 
 namespace msq {
 
+BufferStats& BufferStats::operator+=(const BufferStats& other) {
+  hits += other.hits;
+  misses += other.misses;
+  evictions += other.evictions;
+  dirty_writebacks += other.dirty_writebacks;
+  read_retries += other.read_retries;
+  write_retries += other.write_retries;
+  failed_reads += other.failed_reads;
+  failed_writebacks += other.failed_writebacks;
+  return *this;
+}
+
 void PageGuard::Release() {
-  if (pool_ != nullptr && frame_ != nullptr) {
-    pool_->Unpin(shard_, frame_);
-  }
-  pool_ = nullptr;
+  if (frame_ != nullptr) BufferManager::Unpin(frame_);
   frame_ = nullptr;
   page_ = nullptr;
   id_ = kInvalidPage;
@@ -58,8 +67,8 @@ void BufferManager::AttachMetrics(obs::MetricsRegistry* registry,
   }
 }
 
-void BufferManager::CountHit() {
-  stats_.hits.fetch_add(1, std::memory_order_relaxed);
+void BufferManager::CountHit(Shard& shard) {
+  ++shard.stats.hits;
   if (metric_hits_ != nullptr) metric_hits_->Inc();
   switch (role_) {
     case BufferRole::kNetwork:
@@ -73,8 +82,8 @@ void BufferManager::CountHit() {
   }
 }
 
-void BufferManager::CountMiss() {
-  stats_.misses.fetch_add(1, std::memory_order_relaxed);
+void BufferManager::CountMiss(Shard& shard) {
+  ++shard.stats.misses;
   if (metric_misses_ != nullptr) metric_misses_->Inc();
   switch (role_) {
     case BufferRole::kNetwork:
@@ -88,11 +97,11 @@ void BufferManager::CountMiss() {
   }
 }
 
-Status BufferManager::ReadWithRetry(PageId id, Page* out) {
+Status BufferManager::ReadWithRetry(Shard& shard, PageId id, Page* out) {
   Status status;
   for (int attempt = 0; attempt < retry_.max_read_attempts; ++attempt) {
     if (attempt > 0) {
-      stats_.read_retries.fetch_add(1, std::memory_order_relaxed);
+      ++shard.stats.read_retries;
       if (retry_.backoff_micros > 0) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(retry_.backoff_micros << (attempt - 1)));
@@ -101,15 +110,16 @@ Status BufferManager::ReadWithRetry(PageId id, Page* out) {
     status = disk_->Read(id, out);
     if (status.ok() || !status.transient()) break;
   }
-  if (!status.ok()) stats_.failed_reads.fetch_add(1, std::memory_order_relaxed);
+  if (!status.ok()) ++shard.stats.failed_reads;
   return status;
 }
 
-Status BufferManager::WriteWithRetry(PageId id, const Page& page) {
+Status BufferManager::WriteWithRetry(Shard& shard, PageId id,
+                                     const Page& page) {
   Status status;
   for (int attempt = 0; attempt < retry_.max_write_attempts; ++attempt) {
     if (attempt > 0) {
-      stats_.write_retries.fetch_add(1, std::memory_order_relaxed);
+      ++shard.stats.write_retries;
       if (retry_.backoff_micros > 0) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(retry_.backoff_micros << (attempt - 1)));
@@ -122,24 +132,22 @@ Status BufferManager::WriteWithRetry(PageId id, const Page& page) {
 }
 
 StatusOr<PageGuard> BufferManager::Fetch(PageId id, bool mark_dirty) {
-  const std::size_t shard_index = id % shard_count_;
-  Shard& shard = shards_[shard_index];
+  Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.accesses;
   if (auto it = shard.table.find(id); it != shard.table.end()) {
-    CountHit();
+    CountHit(shard);
     // Move to MRU position; list splice keeps the frame's address stable,
     // which is what lets outstanding guards survive the reordering.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     Frame& frame = *it->second;
     frame.dirty |= mark_dirty;
-    ++frame.pins;
-    return PageGuard(this, shard_index, &frame, &frame.page, id);
+    frame.pins.fetch_add(1, std::memory_order_relaxed);
+    return PageGuard(&frame, &frame.page, id);
   }
   // Detail span (head-sampled queries only): one span per physical page
   // read, covering evict + disk read + frame install.
   obs::Span read_span = obs::DetailSpan("storage.page_read");
-  CountMiss();
+  CountMiss(shard);
   if (Status status = EvictLocked(shard); !status.ok()) return status;
   // Read into a scratch frame first so a failed read leaves no stale entry
   // in the pool.
@@ -147,29 +155,28 @@ StatusOr<PageGuard> BufferManager::Fetch(PageId id, bool mark_dirty) {
   Frame& frame = shard.lru.front();
   frame.id = id;
   frame.dirty = mark_dirty;
-  if (Status status = ReadWithRetry(id, &frame.page); !status.ok()) {
+  if (Status status = ReadWithRetry(shard, id, &frame.page); !status.ok()) {
     shard.lru.pop_front();
     return status;
   }
-  frame.pins = 1;
+  frame.pins.store(1, std::memory_order_relaxed);
   shard.table[id] = shard.lru.begin();
-  return PageGuard(this, shard_index, &frame, &frame.page, id);
+  return PageGuard(&frame, &frame.page, id);
 }
 
 StatusOr<PageGuard> BufferManager::AllocatePage() {
   StatusOr<PageId> id = disk_->Allocate();
   if (!id.ok()) return id.status();
-  const std::size_t shard_index = *id % shard_count_;
-  Shard& shard = shards_[shard_index];
+  Shard& shard = ShardFor(*id);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (Status status = EvictLocked(shard); !status.ok()) return status;
   shard.lru.emplace_front();
   Frame& frame = shard.lru.front();
   frame.id = *id;
   frame.dirty = true;
-  frame.pins = 1;
+  frame.pins.store(1, std::memory_order_relaxed);
   shard.table[*id] = shard.lru.begin();
-  return PageGuard(this, shard_index, &frame, &frame.page, *id);
+  return PageGuard(&frame, &frame.page, *id);
 }
 
 Status BufferManager::FreePage(PageId id) {
@@ -177,7 +184,7 @@ Status BufferManager::FreePage(PageId id) {
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     if (auto it = shard.table.find(id); it != shard.table.end()) {
-      if (it->second->pins > 0) {
+      if (it->second->pins.load(std::memory_order_acquire) > 0) {
         return Status::InvalidArgument("free of pinned page " +
                                        std::to_string(id));
       }
@@ -191,12 +198,12 @@ Status BufferManager::FreePage(PageId id) {
   return disk_->Free(id);
 }
 
-void BufferManager::Unpin(std::size_t shard_index, void* frame) {
-  Shard& shard = shards_[shard_index];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Frame* f = static_cast<Frame*>(frame);
-  MSQ_CHECK(f->pins > 0);
-  --f->pins;
+void BufferManager::Unpin(void* frame) {
+  // The frame cannot be evicted while this pin is held, so it is still
+  // live here; once the decrement lands the guard never touches it again.
+  const int before = static_cast<Frame*>(frame)->pins.fetch_sub(
+      1, std::memory_order_release);
+  MSQ_CHECK(before > 0);
 }
 
 Status BufferManager::EvictLocked(Shard& shard) {
@@ -205,7 +212,7 @@ Status BufferManager::EvictLocked(Shard& shard) {
     // is normally unpinned, so this scan is O(1) in the steady state.
     auto victim = shard.lru.end();
     for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-      if (it->pins == 0) {
+      if (it->pins.load(std::memory_order_acquire) == 0) {
         victim = std::prev(it.base());
         break;
       }
@@ -216,18 +223,18 @@ Status BufferManager::EvictLocked(Shard& shard) {
       return Status();
     }
     if (victim->dirty) {
-      Status status = WriteWithRetry(victim->id, victim->page);
+      Status status = WriteWithRetry(shard, victim->id, victim->page);
       if (!status.ok()) {
-        stats_.failed_writebacks.fetch_add(1, std::memory_order_relaxed);
+        ++shard.stats.failed_writebacks;
         return status;
       }
       victim->dirty = false;
-      stats_.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
+      ++shard.stats.dirty_writebacks;
       if (metric_writebacks_ != nullptr) metric_writebacks_->Inc();
     }
     shard.table.erase(victim->id);
     shard.lru.erase(victim);
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+    ++shard.stats.evictions;
     if (metric_evictions_ != nullptr) metric_evictions_->Inc();
   }
   return Status();
@@ -240,13 +247,13 @@ Status BufferManager::FlushAll() {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (Frame& frame : shard.lru) {
       if (!frame.dirty) continue;
-      Status status = WriteWithRetry(frame.id, frame.page);
+      Status status = WriteWithRetry(shard, frame.id, frame.page);
       if (status.ok()) {
         frame.dirty = false;
-        stats_.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
+        ++shard.stats.dirty_writebacks;
         if (metric_writebacks_ != nullptr) metric_writebacks_->Inc();
       } else {
-        stats_.failed_writebacks.fetch_add(1, std::memory_order_relaxed);
+        ++shard.stats.failed_writebacks;
         if (first_error.ok()) first_error = status;
       }
     }
@@ -260,7 +267,7 @@ Status BufferManager::Clear() {
     Shard& shard = shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->pins > 0) {
+      if (it->pins.load(std::memory_order_acquire) > 0) {
         ++it;
         continue;
       }
@@ -273,32 +280,17 @@ Status BufferManager::Clear() {
 
 BufferStats BufferManager::stats() const {
   BufferStats snapshot;
-  snapshot.hits = stats_.hits.load(std::memory_order_relaxed);
-  snapshot.misses = stats_.misses.load(std::memory_order_relaxed);
-  snapshot.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  snapshot.dirty_writebacks =
-      stats_.dirty_writebacks.load(std::memory_order_relaxed);
-  snapshot.read_retries = stats_.read_retries.load(std::memory_order_relaxed);
-  snapshot.write_retries =
-      stats_.write_retries.load(std::memory_order_relaxed);
-  snapshot.failed_reads = stats_.failed_reads.load(std::memory_order_relaxed);
-  snapshot.failed_writebacks =
-      stats_.failed_writebacks.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < shard_count_; ++i) {
+    std::lock_guard<std::mutex> lock(shards_[i].mu);
+    snapshot += shards_[i].stats;
+  }
   return snapshot;
 }
 
 void BufferManager::ResetStats() {
-  stats_.hits.store(0, std::memory_order_relaxed);
-  stats_.misses.store(0, std::memory_order_relaxed);
-  stats_.evictions.store(0, std::memory_order_relaxed);
-  stats_.dirty_writebacks.store(0, std::memory_order_relaxed);
-  stats_.read_retries.store(0, std::memory_order_relaxed);
-  stats_.write_retries.store(0, std::memory_order_relaxed);
-  stats_.failed_reads.store(0, std::memory_order_relaxed);
-  stats_.failed_writebacks.store(0, std::memory_order_relaxed);
   for (std::size_t i = 0; i < shard_count_; ++i) {
     std::lock_guard<std::mutex> lock(shards_[i].mu);
-    shards_[i].accesses = 0;
+    shards_[i].stats = BufferStats{};
   }
 }
 
@@ -311,7 +303,7 @@ ShardBalanceStats BufferManager::shard_balance() const {
     {
       std::lock_guard<std::mutex> lock(shards_[i].mu);
       occupancy = shards_[i].table.size();
-      accesses = shards_[i].accesses;
+      accesses = shards_[i].stats.accesses();
     }
     if (i == 0) {
       balance.min_occupancy = balance.max_occupancy = occupancy;
@@ -352,7 +344,7 @@ std::size_t BufferManager::pinned_pages() const {
   for (std::size_t i = 0; i < shard_count_; ++i) {
     std::lock_guard<std::mutex> lock(shards_[i].mu);
     for (const Frame& frame : shards_[i].lru) {
-      if (frame.pins > 0) ++total;
+      if (frame.pins.load(std::memory_order_acquire) > 0) ++total;
     }
   }
   return total;

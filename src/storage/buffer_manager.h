@@ -12,7 +12,10 @@
 // valid for exactly the guard's lifetime (this replaces the historical
 // single-threaded "pointer valid until next Fetch" contract). The paged
 // structures above (GraphPager, RTree, BpTree) hold the guard only while
-// copying the record out of the page.
+// copying the record out of the page. Pins are raised under the shard
+// mutex but dropped without it (an atomic release decrement), and every
+// statistic is counted per shard under the mutex Fetch already holds, so
+// the per-page path touches no cache line outside its own shard.
 //
 // All operations that touch the disk return Status/StatusOr: a failed read
 // is reported to the caller instead of caching garbage, and a failed
@@ -43,7 +46,8 @@ namespace msq {
 // The experiment default: 1 MB of 4 KB frames.
 inline constexpr std::size_t kDefaultBufferFrames = (1 << 20) / kPageSize;
 
-// Cumulative buffer statistics (a snapshot; the live counters are atomic).
+// Cumulative buffer statistics (a snapshot summed over the shards, whose
+// live counts are kept under each shard's mutex).
 struct BufferStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;      // == physical page reads
@@ -55,6 +59,8 @@ struct BufferStats {
   std::uint64_t failed_writebacks = 0;  // writebacks that failed after retries
 
   std::uint64_t accesses() const { return hits + misses; }
+
+  BufferStats& operator+=(const BufferStats& other);
 };
 
 // Cross-shard balance snapshot (diagnostics for the lock-striping design:
@@ -126,24 +132,18 @@ class PageGuard {
 
  private:
   friend class BufferManager;
-  PageGuard(BufferManager* pool, std::size_t shard, void* frame, Page* page,
-            PageId id)
-      : pool_(pool), shard_(shard), frame_(frame), page_(page), id_(id) {}
+  PageGuard(void* frame, Page* page, PageId id)
+      : frame_(frame), page_(page), id_(id) {}
 
   void MoveFrom(PageGuard& other) {
-    pool_ = other.pool_;
-    shard_ = other.shard_;
     frame_ = other.frame_;
     page_ = other.page_;
     id_ = other.id_;
-    other.pool_ = nullptr;
     other.frame_ = nullptr;
     other.page_ = nullptr;
     other.id_ = kInvalidPage;
   }
 
-  BufferManager* pool_ = nullptr;
-  std::size_t shard_ = 0;
   void* frame_ = nullptr;  // BufferManager::Frame*, opaque to callers
   Page* page_ = nullptr;
   PageId id_ = kInvalidPage;
@@ -231,39 +231,32 @@ class BufferManager {
   struct Frame {
     PageId id = kInvalidPage;
     bool dirty = false;
-    int pins = 0;
+    // Raised under the shard mutex; dropped without it by Unpin (release),
+    // and read with acquire under the mutex before a frame is evicted or
+    // freed, so a guard's last reads of the page happen before its reuse.
+    std::atomic<int> pins{0};
     Page page;
   };
 
   // One lock stripe: a private LRU over this shard's resident pages.
   // std::list nodes give stable Frame addresses across splices, so pinned
   // frames can be referenced by guards while the LRU order churns.
-  struct Shard {
+  // Cache-line aligned so neighbouring stripes' mutexes and counts do not
+  // share a line.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::list<Frame> lru;  // most-recently-used at front
     std::unordered_map<PageId, std::list<Frame>::iterator> table;
     std::size_t capacity = 1;
-    // Cumulative Fetch calls landing on this stripe (guarded by mu; feeds
-    // ShardBalanceStats, reset by ResetStats).
-    std::uint64_t accesses = 0;
-  };
-
-  // Live atomic counters behind the BufferStats snapshot.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> dirty_writebacks{0};
-    std::atomic<std::uint64_t> read_retries{0};
-    std::atomic<std::uint64_t> write_retries{0};
-    std::atomic<std::uint64_t> failed_reads{0};
-    std::atomic<std::uint64_t> failed_writebacks{0};
+    // This stripe's share of the pool statistics (guarded by mu); its
+    // accesses() also feed ShardBalanceStats.
+    BufferStats stats;
   };
 
   Shard& ShardFor(PageId id) { return shards_[id % shard_count_]; }
 
-  // Called by PageGuard; locks the shard and decrements the pin.
-  void Unpin(std::size_t shard, void* frame);
+  // Called by PageGuard; drops the pin without taking the shard mutex.
+  static void Unpin(void* frame);
 
   // Evicts LRU-most unpinned frames until the shard is under capacity
   // (at most one in the steady state). If a victim's writeback fails, the
@@ -271,20 +264,19 @@ class BufferManager {
   // returns OK without evicting (temporary overflow).
   Status EvictLocked(Shard& shard);
 
-  void CountHit();
-  void CountMiss();
+  void CountHit(Shard& shard);
+  void CountMiss(Shard& shard);
 
   // Physical I/O with transient-fault retries per retry_; called with the
   // owning shard's mutex held, so a retry backoff stalls only that shard.
-  Status ReadWithRetry(PageId id, Page* out);
-  Status WriteWithRetry(PageId id, const Page& page);
+  Status ReadWithRetry(Shard& shard, PageId id, Page* out);
+  Status WriteWithRetry(Shard& shard, PageId id, const Page& page);
 
   DiskManager* disk_;
   std::size_t frames_;
   RetryPolicy retry_;
   std::size_t shard_count_ = 1;
   std::unique_ptr<Shard[]> shards_;
-  AtomicStats stats_;
   BufferRole role_ = BufferRole::kNone;
   // Null until AttachMetrics.
   obs::Counter* metric_hits_ = nullptr;

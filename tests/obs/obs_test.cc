@@ -2,6 +2,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,23 @@ TEST(MetricsRegistryTest, CounterFindOrCreateIsStable) {
   a->Inc(4);
   EXPECT_EQ(b->value(), 5u);
   EXPECT_NE(registry.counter("y.events"), a);
+}
+
+TEST(CounterConcurrencyTest, StripedIncrementsSumExactly) {
+  // Each thread increments its own cache-line slot; value() must still
+  // see every increment once the threads are joined.
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kIncrements = 20000;
+  Counter counter;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&counter] {
+      for (std::uint64_t i = 0; i < kIncrements; ++i) counter.Inc();
+      counter.Inc(3);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(counter.value(), kThreads * (kIncrements + 3));
 }
 
 TEST(MetricsRegistryTest, GaugeTracksPeakAcrossResets) {

@@ -528,6 +528,9 @@ TEST(ServerTest, RequestzServesWideEventsForEveryOutcome) {
   EXPECT_EQ(events[0].trace_id.size(), 32u);
   EXPECT_GT(events[0].total_ms, 0.0);
   EXPECT_GE(events[0].total_ms, events[0].execute_ms);
+  // The queue stage starts where parsing ends: the stages partition
+  // total_ms rather than overlapping.
+  EXPECT_LE(events[0].queue_ms + events[0].parse_ms, events[0].total_ms);
   EXPECT_EQ(events[1].outcome, "rejected");
   EXPECT_EQ(events[1].http_status, 400);
   EXPECT_EQ(events[1].trace_id.size(), 32u);
